@@ -22,7 +22,7 @@ from detnet.scaling import (
     total_response_time,
 )
 from detnet.scenarios import PROFILE_NAMES, evaluate_scenario, profile_from_name, scenario_table
-from detnet.sim import EventRecord, simulate
+from detnet.sim import EventLog, EventRecord, simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
 
@@ -166,8 +166,7 @@ def _cmd_simulate(args) -> int:
 
     write_csv(rows, cfg.output)
     events_path = str(cfg.output) + ".events"
-    Path(events_path).write_text("".join(r.to_line() + "\n" for r in events),
-                                 encoding="utf-8", newline="")
+    Path(events_path).write_text(EventLog(events).to_text(), encoding="utf-8", newline="")
     print(f"wrote {len(rows)} rows to {cfg.output} and {len(events)} events to {events_path}")
     return 0
 

@@ -8,6 +8,7 @@ floats so a parse/emit round trip is lossless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from detnet.scaling import ArchitectureSpec, ModelParams
@@ -187,7 +188,8 @@ def parse_config(text: str) -> RunConfig:
     )
 
     masses = fetch("masses", _parse_float_list, list(DEFAULT_MASSES),
-                   lambda ms: all(m > 0.0 for m in ms), " (masses must be > 0)")
+                   lambda ms: all(0.0 < m < math.inf for m in ms),
+                   " (masses must be finite and > 0)")
     exponents = fetch("exponents", _parse_float_list, list(DEFAULT_EXPONENTS),
                       lambda xs: all(0.0 <= x <= 1.0 for x in xs),
                       " (exponents must be in [0, 1])")

@@ -188,8 +188,8 @@ class TimingBreakdown:
 
 
 def _require_positive_mass(M):
-    if not M > 0.0:
-        raise ValueError(f"mass ratio M must be > 0, got {M}")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"mass ratio M must be finite and > 0, got {M}")
 
 
 def check_feasible(arch: ArchitectureSpec, params: ModelParams) -> None:

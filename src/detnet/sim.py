@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,37 +30,31 @@ from detnet.scaling import (
 )
 
 __all__ = [
-    "Hub",
-    "Detector",
-    "EventRecord",
-    "EventLog",
-    "SimWorld",
-    "SimulationInvariantError",
-    "build_world",
-    "spawn_infection",
-    "run_detection",
-    "run_recruitment",
-    "run_expansion",
-    "simulate",
+    "Detector", "EventRecord", "EventLog", "SimWorld", "SimulationInvariantError",
+    "WalkLimitError", "MAX_HUBS", "build_world", "spawn_infection", "run_detection",
+    "run_recruitment", "run_expansion", "simulate",
 ]
 
 EVENT_TIME_DIGITS = 9
+_EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
+_TIME = itemgetter(0)
+
+# Largest world build_world accepts: three (n, d) float64 coordinate arrays,
+# about 144 MB at d = 3.
+MAX_HUBS = 2_000_000
+
+# Random-walk steps are drawn in blocks growing from the first size to the cap.
+_WALK_BLOCK = 64
+_WALK_BLOCK_CAP = 1024
 
 
 class SimulationInvariantError(RuntimeError):
     """An internal simulation invariant was violated (a bug, not bad input)."""
 
 
-@dataclass(frozen=True)
-class Hub:
-    ident: int
-    position: np.ndarray
-    size: float
-    lower: np.ndarray  # region box, inclusive boundaries resolve to the lower index
-    upper: np.ndarray
-
-    def region_volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
+class WalkLimitError(ValueError):
+    """A random walk was not absorbed within the step limit (a configuration
+    limit: the step is too short for the domain)."""
 
 
 @dataclass
@@ -68,15 +65,14 @@ class Detector:
     hub_id: int
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     time: float
     kind: str
     subject: int
     hub: int
 
     def to_line(self) -> str:
-        return f"{self.time:.{EVENT_TIME_DIGITS}f}\t{self.kind}\t{self.subject}\t{self.hub}"
+        return _EVENT_LINE % self
 
 
 class EventLog:
@@ -96,7 +92,8 @@ class EventLog:
 
     def to_text(self) -> str:
         """Serialize as one `time<TAB>kind<TAB>subject<TAB>hub` line per event."""
-        return "".join(r.to_line() + "\n" for r in self.records)
+        line = _EVENT_LINE + "\n"
+        return "".join([line % r for r in self.records])
 
 
 @dataclass
@@ -107,23 +104,26 @@ class SimWorld:
     seed: int
     extent: float
     grid_shape: tuple[int, ...]
-    hubs: list[Hub]
+    # one row per hub, in flat region order: the hub at the region center and
+    # the region box (inclusive boundaries resolve to the lower index)
+    centers: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    hub_size: float
     detectors: list[Detector] = field(default_factory=list)
     clock: float = 0.0
     rng: np.random.Generator = None  # type: ignore[assignment]
     infected_hub: int | None = None
     pool: float | None = None
-    _pending: list = field(default_factory=list)  # (time, seq, kind, subject, hub)
-    _seq: int = 0
+    _pending: list[EventRecord] = field(default_factory=list)  # index = sequence number
 
     def schedule(self, time: float, kind: str, subject: int, hub: int) -> None:
-        self._pending.append((time, self._seq, kind, subject, hub))
-        self._seq += 1
+        self._pending.append(EventRecord(time, kind, subject, hub))
 
     def drain(self, since_seq: int = 0) -> EventLog:
         """Events scheduled at or after `since_seq`, ordered by (time, seq)."""
-        picked = sorted(e for e in self._pending if e[1] >= since_seq)
-        return EventLog(EventRecord(t, kind, subj, hub) for t, _, kind, subj, hub in picked)
+        # a stable sort on time alone keeps ties in scheduling order
+        return EventLog(sorted(self._pending[since_seq:], key=_TIME))
 
     def cell_widths(self) -> np.ndarray:
         return self.extent / np.asarray(self.grid_shape, dtype=float)
@@ -145,37 +145,22 @@ class SimWorld:
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            large.append(n // i)
-    if small and small[-1] == large[-1]:
-        large.pop()
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
+
+
+def _factorizations(n: int, dimension: int) -> list[tuple[int, ...]]:
+    if dimension == 1:
+        return [(n,)]
+    return [(f, *rest) for f in _divisors(n) for rest in _factorizations(n // f, dimension - 1)]
 
 
 def _grid_shape(n: int, dimension: int) -> tuple[int, ...]:
     """Factor n into `dimension` axis counts minimizing the cell aspect ratio
     (max factor over min factor); ties resolve to the lexicographically
     smallest descending tuple for determinism."""
-    if dimension == 1:
-        return (n,)
-    best = None
-    if dimension == 2:
-        for f in _divisors(n):
-            shape = tuple(sorted((f, n // f), reverse=True))
-            cand = (shape[0] / shape[-1], shape)
-            if best is None or cand < best:
-                best = cand
-        return best[1]
-    for f1 in _divisors(n):
-        for f2 in _divisors(n // f1):
-            shape = tuple(sorted((f1, f2, n // f1 // f2), reverse=True))
-            cand = (shape[0] / shape[-1], shape)
-            if best is None or cand < best:
-                best = cand
-    return best[1]
+    shapes = {tuple(sorted(f, reverse=True)) for f in _factorizations(n, dimension)}
+    return min(shapes, key=lambda shape: (shape[0] / shape[-1], shape))
 
 
 def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int) -> SimWorld:
@@ -183,23 +168,17 @@ def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int
     regions and place one hub of size S(M) at each region center."""
     check_feasible(arch, params)
     _, rounded = hub_count(M, arch)
-    extent = (params.body_volume_coefficient * M) ** (1.0 / arch.dimension)
-    shape = _grid_shape(rounded, arch.dimension)
+    d = arch.dimension
+    if rounded > MAX_HUBS:
+        raise ValueError(
+            f"world of {rounded} hubs exceeds the simulator's limit of {MAX_HUBS} hubs "
+            f"(its hub arrays would need about {3 * 8 * d * rounded / 1e6:.0f} MB)"
+        )
+    extent = (params.body_volume_coefficient * M) ** (1.0 / d)
+    shape = _grid_shape(rounded, d)
     widths = extent / np.asarray(shape, dtype=float)
-    size = hub_size(M, arch)
-
-    hubs = []
-    for flat in range(rounded):
-        idx = []
-        rem = flat
-        for cells in reversed(shape):
-            rem, i = divmod(rem, cells)
-            idx.append(i)
-        idx = np.asarray(idx[::-1], dtype=float)
-        lower = idx * widths
-        upper = (idx + 1.0) * widths
-        hubs.append(Hub(flat, lower + widths / 2.0, size, lower, upper))
-
+    idx = np.indices(shape, dtype=float).reshape(d, -1).T  # row i: grid index of hub i
+    lower = idx * widths
     return SimWorld(
         mass=M,
         arch=arch,
@@ -207,7 +186,10 @@ def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int
         seed=seed,
         extent=extent,
         grid_shape=shape,
-        hubs=hubs,
+        centers=lower + widths / 2.0,
+        lower=lower,
+        upper=(idx + 1.0) * widths,
+        hub_size=hub_size(M, arch),
         rng=np.random.default_rng(seed),
     )
 
@@ -221,9 +203,7 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
         site = world.rng.random(world.arch.dimension) * world.extent
     site = np.asarray(site, dtype=float)
     if site.shape != (world.arch.dimension,):
-        raise ValueError(
-            f"site must have {world.arch.dimension} coordinates, got {site.shape}"
-        )
+        raise ValueError(f"site must have {world.arch.dimension} coordinates, got {site.shape}")
     if np.any(site < 0.0) or np.any(site > world.extent):
         raise ValueError(f"site {site} outside the domain [0, {world.extent}]^d")
     hub_id = world.region_of(site)
@@ -233,32 +213,48 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     return world
 
 
+def _fold(x: np.ndarray, extent: float) -> np.ndarray:
+    """Fold free coordinates into [0, extent] by the method of images: a free
+    path folded this way is the path reflected off the domain walls."""
+    return extent - np.abs(np.mod(x, 2.0 * extent) - extent)
+
+
 def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
                         step_length: float, max_steps: int = 1_000_000) -> int:
     """Steps until a fixed-length random walk enters the absorption radius
-    (one step length) around the hub; reflects off domain walls."""
-    pos = start.copy()
-    d = world.arch.dimension
-    for step in range(max_steps):
-        if float(np.linalg.norm(pos - hub_pos)) <= step_length:
-            return step
+    (one step length) around the hub; reflects off domain walls.
+
+    Steps are drawn in blocks; each block's free path is a cumulative sum,
+    folded into the domain and tested for absorption at once."""
+    if float(np.linalg.norm(start - hub_pos)) <= step_length:
+        return 0
+    rng, d, extent = world.rng, world.arch.dimension, world.extent
+    free = start.copy()  # free (unfolded) position, kept within [0, 2 * extent)
+    taken, block = 0, _WALK_BLOCK
+    while taken < max_steps - 1:
+        n = min(block, max_steps - 1 - taken)
         if d == 1:
-            direction = np.asarray([1.0 if world.rng.random() < 0.5 else -1.0])
+            steps = np.where(rng.random((n, 1)) < 0.5, 1.0, -1.0)
         else:
-            vec = world.rng.normal(size=d)
-            norm = float(np.linalg.norm(vec))
-            while norm == 0.0:
-                vec = world.rng.normal(size=d)
-                norm = float(np.linalg.norm(vec))
-            direction = vec / norm
-        pos = pos + step_length * direction
-        for axis in range(d):
-            while pos[axis] < 0.0 or pos[axis] > world.extent:
-                if pos[axis] < 0.0:
-                    pos[axis] = -pos[axis]
-                else:
-                    pos[axis] = 2.0 * world.extent - pos[axis]
-    raise SimulationInvariantError(f"random walk not absorbed after {max_steps} steps")
+            steps = rng.normal(size=(n, d))
+            norms = np.linalg.norm(steps, axis=1)
+            while not norms.all():  # redraw directionless (zero) vectors
+                zero = norms == 0.0
+                steps[zero] = rng.normal(size=(int(zero.sum()), d))
+                norms = np.linalg.norm(steps, axis=1)
+            steps /= norms[:, None]
+        path = free + np.cumsum(step_length * steps, axis=0)
+        dist = np.linalg.norm(_fold(path, extent) - hub_pos, axis=1)
+        hit = np.flatnonzero(dist <= step_length)
+        if hit.size:
+            return taken + int(hit[0]) + 1
+        free = np.mod(path[-1], 2.0 * extent)  # folding has period 2 * extent
+        taken += n
+        block = min(2 * block, _WALK_BLOCK_CAP)
+    raise WalkLimitError(
+        f"random walk with step length {step_length:g} was not absorbed within "
+        f"{max_steps} steps in a domain of extent {extent:g}; use a longer walk step"
+    )
 
 
 def run_detection(world: SimWorld, movement: str = "straight",
@@ -274,13 +270,13 @@ def run_detection(world: SimWorld, movement: str = "straight",
     if movement == "random_walk" and not step_length > 0.0:
         raise ValueError(f"step_length must be > 0, got {step_length}")
 
-    start_seq = world._seq
+    start_seq = len(world._pending)
     start_time = world.clock
     v = world.params.detector_speed
     first_arrival = None
     first_hub = None
     for det in loaded:
-        hub_pos = world.hubs[det.hub_id].position
+        hub_pos = world.centers[det.hub_id]
         if movement == "straight":
             travel = float(np.linalg.norm(det.position - hub_pos)) / v
         else:
@@ -305,7 +301,7 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     if world.infected_hub is None:
         raise SimulationInvariantError("run_recruitment called before detection completed")
     params = world.params
-    start_seq = world._seq
+    start_seq = len(world._pending)
     start_time = world.clock
 
     world.pool = activated_pool(world.mass, world.arch, params)
@@ -316,27 +312,30 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     if k == 0:
         return 0.0, world.drain(start_seq)
 
-    origin = world.hubs[world.infected_hub].position
-    peers = sorted(
-        (hub for hub in world.hubs if hub.ident != world.infected_hub),
-        key=lambda hub: (float(np.linalg.norm(hub.position - origin)), hub.ident),
-    )
-    lam = params.contact_latency
-    transit = params.recruit_transit_coefficient
-    duration = 0.0
-    for i, hub in enumerate(peers[:k]):
-        if params.recruitment_composition == "parallel":
-            waves = math.ceil(math.log2(i + 2))
-            offset = lam * waves
-        else:
-            offset = lam * (i + 1)
-        if transit > 0.0:
-            offset += transit * float(np.linalg.norm(hub.position - origin))
-        world.schedule(start_time + offset, "contact-complete", hub.ident, world.infected_hub)
-        # durations are accumulated relative to the phase start, never as a
-        # difference of absolute clocks, so they match the analytic values
-        # bit for bit
-        duration = max(duration, offset)
+    # distances from whole-cell offsets, with each row's squared axis terms
+    # summed in sorted order, so peers at equal distance get bit-equal keys
+    # and the stable sort orders them by index
+    widths = world.cell_widths()
+    delta = np.rint((world.centers - world.centers[world.infected_hub]) / widths) * widths
+    squared = np.sort(delta * delta, axis=1).sum(axis=1)
+    order = np.argsort(squared, kind="stable")
+    peers = order[order != world.infected_hub][:k]
+    rank = np.arange(1, len(peers) + 1)
+    if params.recruitment_composition == "parallel":
+        # doubling-tree wave of the rank-th contact: ceil(log2(rank + 1)),
+        # which equals the bit length of rank, the exponent frexp returns
+        offset = params.contact_latency * np.frexp(rank)[1]
+    else:
+        offset = params.contact_latency * rank
+    if params.recruit_transit_coefficient > 0.0:
+        offset = offset + params.recruit_transit_coefficient * np.sqrt(squared[peers])
+    world._pending.extend(map(EventRecord, (start_time + offset).tolist(),
+                              repeat("contact-complete"), peers.tolist(),
+                              repeat(world.infected_hub)))
+    # durations are accumulated relative to the phase start, never as a
+    # difference of absolute clocks, so they match the analytic values
+    # bit for bit
+    duration = float(offset.max())
 
     world.clock = start_time + duration
     return duration, world.drain(start_seq)
@@ -348,7 +347,7 @@ def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
     if world.pool is None:
         raise SimulationInvariantError("run_expansion called before recruitment completed")
     params = world.params
-    start_seq = world._seq
+    start_seq = len(world._pending)
     start_time = world.clock
     target = antibody_requirement(world.mass, params)
     population = world.pool

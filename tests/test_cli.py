@@ -35,6 +35,18 @@ def test_analyze_rejects_bad_mass(capsys):
     assert dispatch(["analyze", "--mass", "2", "--exponent", "1.5"]) == 1
 
 
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("mass", ["inf", "nan"])
+def test_analyze_rejects_non_finite_mass(mass, capsys):
+    assert dispatch(["analyze", "--mass", mass, "--exponent", "0.5"]) == 1
+    assert mass in one_line_error(capsys)
+
+
 def test_infeasible_parameters_exit_code_2(tmp_path, capsys):
     cfg = run(tmp_path, "bcrit_coefficient = 5\n")
     assert dispatch(["analyze", "--mass", "10", "--exponent", "0.5", "--config", cfg]) == 2
@@ -190,3 +202,25 @@ def test_write_csv_nine_significant_digits(tmp_path):
 def test_unwritable_output_exit_code_1(tmp_path, capsys):
     cfg = run(tmp_path, "output = /nonexistent-dir/x.csv\nmasses = 1\nexponents = 0\n")
     assert dispatch(["sweep", "--config", cfg]) == 1
+
+
+def test_simulate_rejects_infinite_mass_in_config(tmp_path, capsys):
+    cfg = run(tmp_path, f"masses = 1 inf\noutput = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "masses" in err and err.count("\n") == 1
+
+
+def test_simulate_refuses_oversized_world(tmp_path, capsys):
+    cfg = run(tmp_path, f"masses = 1e8\nexponent = 1\noutput = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    assert "100000000 hubs" in one_line_error(capsys)
+
+
+def test_simulate_walk_step_limit_exit_code_1(tmp_path, capsys):
+    # a 100 x 100 domain searched with step 1e-4 is not crossed in 1e6 steps
+    cfg = run(tmp_path, "masses = 1e4\nexponent = 0\nmovement = random_walk\n"
+                        f"walk_step = 1e-4\nsite = 10 10\ntrials = 1\n"
+                        f"output = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    assert "not absorbed within 1000000 steps" in one_line_error(capsys)

@@ -60,6 +60,13 @@ def test_invariant_violation_names_key():
         parse_config("masses = 1 -2\n")
 
 
+@pytest.mark.parametrize("masses", ["1 inf", "nan", "-inf 2"])
+def test_non_finite_masses_rejected(masses):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"masses = {masses}\n")
+    assert "masses" in str(err.value)
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("just some words\n")

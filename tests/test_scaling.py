@@ -103,6 +103,14 @@ def test_model_params_validation():
         ModelParams(recruitment_composition="broadcast")
 
 
+@pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan, 0.0])
+def test_mass_must_be_finite_and_positive(M):
+    with pytest.raises(ValueError, match="mass ratio"):
+        hub_count(M, arch())
+    with pytest.raises(ValueError, match="mass ratio"):
+        total_response_time(M, arch(), ModelParams())
+
+
 def test_default_output_calibration():
     # expanding from the critical pool takes the baseline window at any M
     p = ModelParams()

@@ -1,6 +1,7 @@
 """Tests for the discrete-event world: tiling, phases, determinism."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from detnet.scaling import (
     total_response_time,
 )
 from detnet.sim import (
+    MAX_HUBS,
     EventLog,
     EventRecord,
     SimulationInvariantError,
+    WalkLimitError,
+    _fold,
     build_world,
     run_detection,
     run_expansion,
@@ -33,24 +37,27 @@ def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
     return ArchitectureSpec(exponent=a, base_hub_count=n0, base_hub_size=s0, dimension=d)
 
 
+def region_volumes(world):
+    return [float(np.prod(upper - lower)) for lower, upper in zip(world.lower, world.upper)]
+
+
 # ---------------------------------------------------------------------------
 # world construction
 # ---------------------------------------------------------------------------
 
 def test_single_region_world():
     world = build_world(1.0, arch(n0=1.0), ModelParams(), seed=1)
-    assert len(world.hubs) == 1
-    hub = world.hubs[0]
-    assert np.allclose(hub.position, [0.5, 0.5])
-    assert np.allclose(hub.lower, [0.0, 0.0]) and np.allclose(hub.upper, [1.0, 1.0])
+    assert len(world.centers) == 1
+    assert np.allclose(world.centers[0], [0.5, 0.5])
+    assert np.allclose(world.lower[0], [0.0, 0.0]) and np.allclose(world.upper[0], [1.0, 1.0])
 
 
 def test_world_matches_rounded_scaling_counts():
     world = build_world(4.0, arch(a=1.0, n0=2.0), ModelParams(), seed=1)
-    assert len(world.hubs) == 8
+    assert len(world.centers) == 8
     domain_volume = world.extent ** 2
-    for hub in world.hubs:
-        assert hub.region_volume() == pytest.approx(domain_volume / 8.0, rel=1e-9)
+    for volume in region_volumes(world):
+        assert volume == pytest.approx(domain_volume / 8.0, rel=1e-9)
     assert domain_volume == pytest.approx(4.0, rel=1e-12)
 
 
@@ -59,20 +66,20 @@ def test_world_matches_rounded_scaling_counts():
 def test_regions_tile_domain(M, a, d):
     world = build_world(M, arch(a=a, d=d), ModelParams(), seed=3)
     _, rounded = hub_count(M, arch(a=a, d=d))
-    assert len(world.hubs) == rounded
+    assert len(world.centers) == rounded
     volume = world.extent ** d
-    total = sum(hub.region_volume() for hub in world.hubs)
+    total = sum(region_volumes(world))
     assert total == pytest.approx(volume, rel=1e-9)
-    for hub in world.hubs:
-        assert hub.region_volume() == pytest.approx(volume / rounded, rel=1e-9)
-        assert np.all(hub.lower < hub.position) and np.all(hub.position < hub.upper)
-        assert world.region_of(hub.position) == hub.ident
+    for i, (center, lower, upper) in enumerate(zip(world.centers, world.lower, world.upper)):
+        assert float(np.prod(upper - lower)) == pytest.approx(volume / rounded, rel=1e-9)
+        assert np.all(lower < center) and np.all(center < upper)
+        assert world.region_of(center) == i
     # random points land in the region that contains them
     rng = np.random.default_rng(5)
     for _ in range(200):
         point = rng.random(d) * world.extent
-        hub = world.hubs[world.region_of(point)]
-        assert np.all(point >= hub.lower - 1e-12) and np.all(point <= hub.upper + 1e-12)
+        i = world.region_of(point)
+        assert np.all(point >= world.lower[i] - 1e-12) and np.all(point <= world.upper[i] + 1e-12)
 
 
 def test_boundary_points_resolve_to_lowest_region_index():
@@ -83,7 +90,13 @@ def test_boundary_points_resolve_to_lowest_region_index():
     assert world.region_of(np.array([mid, mid])) == 0
     assert world.region_of(np.array([0.0, 0.0])) == 0
     corner = np.array([world.extent, world.extent])
-    assert world.region_of(corner) == len(world.hubs) - 1
+    assert world.region_of(corner) == len(world.centers) - 1
+
+
+def test_oversized_world_refused():
+    assert hub_count(1e6, arch(a=1.0))[1] <= MAX_HUBS
+    with pytest.raises(ValueError, match="100000000 hubs"):
+        build_world(1e8, arch(a=1.0), ModelParams(), seed=1)
 
 
 def test_region_of_rejects_outside_points():
@@ -98,7 +111,7 @@ def test_region_of_rejects_outside_points():
 
 def test_spawn_at_hub_center_detects_instantly():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
-    spawn_infection(world, site=world.hubs[0].position, n_detectors=1)
+    spawn_infection(world, site=world.centers[0], n_detectors=1)
     t_detect, log = run_detection(world)
     assert t_detect == 0.0
     assert [r.kind for r in log] == ["arrival"]
@@ -167,6 +180,81 @@ def test_random_walk_slower_than_straight_on_average():
     assert np.mean(walked) > np.mean(straight)
 
 
+def reflect_path(start, increments, extent):
+    """Per-step reflection of a free path: move, then mirror the position
+    and every later increment on each axis across whichever wall it crossed."""
+    pos, sign, path = start.copy(), np.ones_like(start), []
+    for inc in increments:
+        pos = pos + sign * inc
+        for axis in range(len(pos)):
+            while not 0.0 <= pos[axis] <= extent:
+                pos[axis] = -pos[axis] if pos[axis] < 0.0 else 2.0 * extent - pos[axis]
+                sign[axis] = -sign[axis]
+        path.append(pos)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_folded_free_path_equals_reflected_path(d):
+    rng = np.random.default_rng(8 + d)
+    extent = 1.7
+    start = rng.random(d) * extent
+    # increments larger than the domain: single steps cross several walls
+    increments = rng.normal(scale=1.5 * extent, size=(300, d))
+    free = start + np.cumsum(increments, axis=0)
+    assert np.abs(np.diff(np.floor(free / extent), axis=0)).max() >= 3
+    folded = _fold(free, extent)
+    assert np.all((folded >= 0.0) & (folded <= extent))
+    assert np.allclose(folded, reflect_path(start, increments, extent), rtol=0.0, atol=1e-9)
+
+
+def reference_walk_steps(rng, start, hub, step, extent):
+    """Per-step walker: one uniform direction per step, reflected off the
+    walls; returns the step count at which it comes within `step` of hub."""
+    pos, d = start.copy(), len(start)
+    for n in range(1_000_000):
+        if float(np.linalg.norm(pos - hub)) <= step:
+            return n
+        if d == 1:
+            direction = np.array([1.0 if rng.random() < 0.5 else -1.0])
+        else:
+            vec = rng.normal(size=d)
+            direction = vec / np.linalg.norm(vec)
+        pos = reflect_path(pos, [step * direction], extent)[0]
+    raise AssertionError("reference walk not absorbed")
+
+
+@pytest.mark.parametrize("d,step", [(1, 0.2), (2, 0.3), (3, 0.3)])
+def test_batched_walk_matches_per_step_reference(d, step):
+    # M = 8 at a = 1: an 8-cell line, a 4 x 2 grid of oblong cells, a 2x2x2 cube
+    spec, p, trials = arch(a=1.0, d=d), ModelParams(), 300
+    world = build_world(8.0, spec, p, seed=0)
+    if d == 2:
+        assert world.grid_shape == (4, 2)
+    batched = []
+    for seed in range(trials):
+        bd, _ = simulate(8.0, spec, p, seed=seed, movement="random_walk", step_length=step)
+        batched.append(round(bd.t_detect * p.detector_speed / step))
+    rng = np.random.default_rng(2010)
+    reference = []
+    for _ in range(trials):
+        start = rng.random(d) * world.extent
+        hub = world.centers[world.region_of(start)]
+        reference.append(reference_walk_steps(rng, start, hub, step, world.extent))
+    stderr = math.sqrt((np.var(batched, ddof=1) + np.var(reference, ddof=1)) / trials)
+    assert abs(np.mean(batched) - np.mean(reference)) < 4.0 * stderr
+
+
+def test_walk_step_limit_is_a_configuration_error():
+    # a 100 x 100 domain searched with step 1e-4: about 0.1 of travel in 1e6 steps
+    with pytest.raises(WalkLimitError) as err:
+        simulate(1e4, arch(a=0.0), ModelParams(), seed=1, site=[10.0, 10.0],
+                 movement="random_walk", step_length=1e-4)
+    assert isinstance(err.value, ValueError)
+    message = str(err.value)
+    assert "0.0001" in message and "100" in message and "1000000" in message
+
+
 def test_run_detection_validates_movement():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     spawn_infection(world)
@@ -205,13 +293,32 @@ def test_recruitment_zero_when_local_pool_suffices():
 def test_recruitment_contacts_by_distance_then_index():
     world = _run_through_recruitment(256.0, 0.5)
     _, log = run_recruitment(world)
-    origin = world.hubs[world.infected_hub].position
+    origin = world.centers[world.infected_hub]
     keys = []
     for r in log:
         if r.kind == "contact-complete":
-            peer = world.hubs[r.subject]
-            keys.append((round(float(np.linalg.norm(peer.position - origin)), 9), r.subject))
+            peer = world.centers[r.subject]
+            keys.append((round(float(np.linalg.norm(peer - origin)), 9), r.subject))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("M", [128.0, 2048.0])
+def test_equidistant_peers_contacted_in_index_order(M):
+    # a = 0.5 tiles M = 128 as 11 x 1 and M = 2048 as 9 x 5; exact squared
+    # distances in units of the extent come from whole-cell offsets
+    spec, p = arch(a=0.5), ModelParams()
+    shape = build_world(M, spec, p, seed=0).grid_shape
+    assert shape[0] != shape[-1]
+    cells = list(np.ndindex(*shape))
+    for infected in range(len(cells)):
+        world = build_world(M, spec, p, seed=0)
+        spawn_infection(world, site=world.centers[infected])
+        run_detection(world)
+        _, log = run_recruitment(world)
+        keys = [(sum(Fraction(a - b, n) ** 2 for a, b, n in
+                     zip(cells[r.subject], cells[infected], shape)), r.subject) for r in log]
+        assert len(keys) == recruitment_demand(M, spec, p) == len(cells) - 1
+        assert keys == sorted(keys)
 
 
 def test_recruitment_constant_across_mass_at_zero_exponent():
@@ -305,6 +412,14 @@ def test_event_log_serialization_format():
     log = EventLog([EventRecord(0.25, "arrival", 3, 7), EventRecord(1.0, "doubling-tick", 1, 7)])
     text = log.to_text()
     assert text == "0.250000000\tarrival\t3\t7\n1.000000000\tdoubling-tick\t1\t7\n"
+
+
+def test_event_record_is_immutable_and_log_text_is_its_lines():
+    record = EventRecord(0.5, "arrival", 1, 2)
+    with pytest.raises(AttributeError):
+        record.time = 1.0
+    _, log = simulate(256.0, arch(), ModelParams(), seed=6, n_detectors=2)
+    assert log.to_text() == "".join(r.to_line() + "\n" for r in log)
 
 
 def test_simulate_average_phases_track_analytic_model():
