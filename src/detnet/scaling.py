@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "InfeasibleParametersError",
     "BASELINE_RESPONSE_TIME",
     "RECRUITMENT_DISABLED",
+    "MAX_GRID_POINTS",
     "mean_center_distance",
     "antibody_requirement",
     "hub_count",
@@ -54,6 +56,10 @@ BASELINE_RESPONSE_TIME = 4.0
 # Sentinel for `contact_latency`: recruitment switched off entirely, the
 # infected hub expands from its local pool alone (fixed-pool regime).
 RECRUITMENT_DISABLED = math.inf
+
+# Largest exponent grid the optimizer builds (grid step 1e-6); a finer
+# resolution is refused before any point is allocated.
+MAX_GRID_POINTS = 1_000_001
 
 
 class InfeasibleParametersError(ValueError):
@@ -192,6 +198,11 @@ def _require_positive_mass(M):
         raise ValueError(f"mass ratio M must be finite and > 0, got {M}")
 
 
+def _require_mode(mode):
+    if mode not in ("spatial", "contention"):
+        raise ValueError(f"unknown detection mode {mode!r}; expected 'spatial' or 'contention'")
+
+
 def check_feasible(arch: ArchitectureSpec, params: ModelParams) -> None:
     """Raise InfeasibleParametersError if the system-wide cognate pool falls
     short of the critical responder requirement (both scale linearly in M,
@@ -292,13 +303,12 @@ def detection_time(M: float, arch: ArchitectureSpec, params: ModelParams,
                      the detector population sharing one hub
     """
     _require_positive_mass(M)
+    _require_mode(mode)
     if mode == "spatial":
         mu = mean_center_distance(arch.dimension)
         return mu * dr_extent(M, arch, params) / params.detector_speed
-    if mode == "contention":
-        continuous, _ = hub_count(M, arch)
-        return params.contention_coefficient * M / continuous
-    raise ValueError(f"unknown detection mode {mode!r}; expected 'spatial' or 'contention'")
+    continuous, _ = hub_count(M, arch)
+    return params.contention_coefficient * M / continuous
 
 
 def local_cognate_pool(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
@@ -389,9 +399,16 @@ def exponent_grid(resolution: float) -> list[float]:
 
     When 1/resolution is integral the points are computed as i/n so both
     endpoints are exact; otherwise the last step is clamped and 1.0 appended.
+    A resolution finer than 1e-6 (more than MAX_GRID_POINTS points) is
+    refused before the grid is built.
     """
     if not resolution > 0.0:
         raise ValueError(f"grid resolution must be > 0, got {resolution}")
+    if 1.0 / resolution > MAX_GRID_POINTS - 1:
+        raise ValueError(
+            f"grid resolution {resolution} is finer than {1.0 / (MAX_GRID_POINTS - 1):g}; "
+            f"the exponent grid is limited to {MAX_GRID_POINTS} points"
+        )
     n = round(1.0 / resolution)
     if n >= 1 and abs(n * resolution - 1.0) < 1e-9:
         return [i / n for i in range(n + 1)]
@@ -406,26 +423,93 @@ def exponent_grid(resolution: float) -> list[float]:
     return grid
 
 
+def _per_element(func, *args):
+    return np.fromiter(map(func, *args), dtype=float)
+
+
+def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,
+                 exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`total_response_time` at every exponent in one pass.
+
+    Returns (t_detect, t_recruit, t_expand, t_total) as arrays, equal bit for
+    bit to the scalar path at each exponent (`arch`'s own exponent is
+    ignored). The IEEE-exact operations (+ - * /, ceil, rint, minimum,
+    where) run on whole arrays in the scalar path's order; every pow and
+    log2 runs per element through libm, as Python float `**` and
+    math.log2, because numpy's SIMD pow and log2 can differ in the last bit.
+    Python's min/max keep their first argument unless the second compares
+    strictly better, which `where` reproduces.
+    """
+    a = np.array(exponents, dtype=float)
+    out_of_range = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
+    if out_of_range.size:
+        arch.with_exponent(exponents[out_of_range[0]])  # raises the spec's range error
+    _require_positive_mass(M)
+    check_feasible(arch, params)
+    _require_mode(mode)
+
+    # an underflowed pool is refused below with the scalar path's message,
+    # not reported as a numpy warning on the way there
+    with np.errstate(all="ignore"):
+        continuous = arch.base_hub_count * _per_element(pow, repeat(M), a.tolist())
+        local = params.cognate_frequency * (
+            arch.base_hub_size * _per_element(pow, repeat(M), (1.0 - a).tolist()))
+        if mode == "spatial":
+            volume = params.body_volume_coefficient * M / continuous
+            extent = _per_element(pow, volume.tolist(), repeat(1.0 / arch.dimension))
+            t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
+        else:
+            t_detect = params.contention_coefficient * M / continuous
+
+        needed = params.bcrit_coefficient * M
+        if params.recruitment_enabled:
+            deficit = needed - local
+            peers = np.ceil(deficit / local)
+            rounded = np.maximum(1.0, np.rint(continuous))
+            k = np.where(deficit <= 0.0, 0.0, np.minimum(peers, rounded - 1.0))
+            if params.recruitment_composition == "parallel":
+                # k + 1 as min(peers + 1, rounded): one rounding, as the
+                # scalar path's exact integer k + 1 gets, also beyond 2**53
+                k_plus_1 = np.where(deficit <= 0.0, 1.0, np.minimum(peers + 1.0, rounded))
+                t_recruit = params.contact_latency * _per_element(math.log2, k_plus_1.tolist())
+            else:
+                t_recruit = params.contact_latency * k
+            recruited = local + k * local
+            pool = np.where(recruited < needed, recruited, needed)
+        else:
+            t_recruit = np.zeros_like(a)
+            pool = np.where(needed < local, needed, local)
+
+        target = params.antibody_coefficient * M / params.plasma_yield
+        empty = np.flatnonzero(~(pool > 0.0))
+        if empty.size or not target > 0.0:
+            # the scalar check at the first failing point raises its own error
+            first = empty[0] if empty.size and target > 0.0 else 0
+            expansion_time(float(pool[first]), target, params.doubling_time)
+        t_expand = params.doubling_time * _per_element(math.log2, (target / pool).tolist())
+        t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
+        t_total = t_detect + t_recruit + t_expand
+    return t_detect, t_recruit, t_expand, t_total
+
+
 def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
                      grid_resolution: float = 0.01,
                      arch: ArchitectureSpec | None = None,
                      ) -> tuple[float, TimingBreakdown]:
     """Grid search for the exponent minimizing total response time at mass M.
 
-    Scans the exponent grid in increasing order keeping the first strict
-    minimum, so ties resolve toward the smaller exponent. `arch` supplies the
-    base hub count/size and dimension (its own exponent is ignored).
+    Evaluates the whole exponent grid in one pass and keeps the first
+    minimum (`argmin`), so ties resolve toward the smaller exponent. `arch`
+    supplies the base hub count/size and dimension (its own exponent is
+    ignored).
     """
     if arch is None:
         arch = ArchitectureSpec()
-    best_a = None
-    best = None
-    for a in exponent_grid(grid_resolution):
-        breakdown = total_response_time(M, arch.with_exponent(a), params, mode)
-        if best is None or breakdown.t_total < best.t_total:
-            best_a = a
-            best = breakdown
-    return best_a, best
+    grid = exponent_grid(grid_resolution)
+    t_detect, t_recruit, t_expand, t_total = _grid_phases(M, arch, params, mode, grid)
+    best = int(np.argmin(t_total))
+    return grid[best], TimingBreakdown(float(t_detect[best]), float(t_recruit[best]),
+                                       float(t_expand[best]))
 
 
 def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
@@ -433,7 +517,8 @@ def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
           ) -> list[tuple[float, float, TimingBreakdown]]:
     """Evaluate total response time over the (M, a) product grid.
 
-    Returns one row per pair in deterministic order, M-major then a-minor.
+    Returns one row per pair in deterministic order, M-major then a-minor;
+    each mass is one pass over a_list.
     """
     if not M_list or not a_list:
         raise ValueError("M_list and a_list must be non-empty")
@@ -441,6 +526,7 @@ def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
         arch = ArchitectureSpec()
     rows = []
     for M in M_list:
-        for a in a_list:
-            rows.append((M, a, total_response_time(M, arch.with_exponent(a), params, mode)))
+        t_detect, t_recruit, t_expand, _ = _grid_phases(M, arch, params, mode, a_list)
+        rows.extend((M, a, TimingBreakdown(*phases)) for a, *phases in
+                    zip(a_list, t_detect.tolist(), t_recruit.tolist(), t_expand.tolist()))
     return rows

@@ -217,6 +217,13 @@ def test_simulate_refuses_oversized_world(tmp_path, capsys):
     assert "100000000 hubs" in one_line_error(capsys)
 
 
+def test_scenario_refuses_oversized_exponent_grid(tmp_path, capsys):
+    cfg = run(tmp_path, f"grid_resolution = 1e-12\noutput = {tmp_path / 'scen.csv'}\n")
+    assert dispatch(["scenario", "--profile", "all", "--config", cfg]) == 1
+    assert "limited to 1000001 points" in one_line_error(capsys)
+    assert not (tmp_path / "scen.csv").exists()
+
+
 def test_simulate_walk_step_limit_exit_code_1(tmp_path, capsys):
     # a 100 x 100 domain searched with step 1e-4 is not crossed in 1e6 steps
     cfg = run(tmp_path, "masses = 1e4\nexponent = 0\nmovement = random_walk\n"

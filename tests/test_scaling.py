@@ -1,14 +1,17 @@
 """Unit tests for the closed-form scaling laws and the exponent optimizer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detnet.scaling import (
     ArchitectureSpec,
     BASELINE_RESPONSE_TIME,
     InfeasibleParametersError,
+    MAX_GRID_POINTS,
     ModelParams,
     RECRUITMENT_DISABLED,
     TimingBreakdown,
@@ -27,7 +30,9 @@ from detnet.scaling import (
     recruitment_time,
     sweep,
     total_response_time,
+    _grid_phases,
 )
+from detnet.scenarios import PROFILE_NAMES, profile_from_name
 
 
 def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
@@ -416,6 +421,15 @@ def test_exponent_grid_contains_endpoints():
     assert len(exponent_grid(0.05)) == 21
 
 
+def test_exponent_grid_refuses_oversized_grid():
+    assert len(exponent_grid(1e-6)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=r"1e-12 .*1000001 points"):
+        exponent_grid(1e-12)
+    for resolution in (0.9e-6, 5e-324):
+        with pytest.raises(ValueError, match="limited to 1000001 points"):
+            exponent_grid(resolution)
+
+
 def test_optimizer_prefers_full_modularity_with_free_channels():
     p = ModelParams(contact_latency=0.0, contention_coefficient=0.0)
     for M in (10.0, 100.0, 4096.0):
@@ -470,3 +484,98 @@ def test_sweep_table():
         assert bd == total_response_time(M, arch(a=a), p)
     with pytest.raises(ValueError):
         sweep([], [0.5], p)
+
+
+# ---------------------------------------------------------------------------
+# one-pass grid kernel against the scalar path, bit for bit
+# ---------------------------------------------------------------------------
+
+KERNEL_MASSES = [10.0 ** (k / 4) for k in range(33)] + [2.0, 3.0, 13.0, 25000.0, 0.37, 1e-3]
+KERNEL_PARAMS = {
+    "serial": ModelParams(),
+    "parallel": ModelParams(recruitment_composition="parallel"),
+    "disabled": ModelParams(contact_latency=RECRUITMENT_DISABLED),
+    **{name: profile_from_name(name).effective_params(ModelParams()) for name in PROFILE_NAMES},
+}
+KERNEL_ARCHS = [arch(n0=n0, s0=s0, d=d) for d in (1, 2, 3) for n0, s0 in ((1.0, 1.0e6), (3.0, 5.0e5))]
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def scalar_bits(M, base, params, mode, a):
+    bd = total_response_time(M, base.with_exponent(a), params, mode)
+    return bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+@pytest.mark.parametrize("mode", ["spatial", "contention"])
+def test_grid_kernel_matches_scalar_path_bit_for_bit(name, mode):
+    params, grid = KERNEL_PARAMS[name], exponent_grid(0.02)
+    for base in KERNEL_ARCHS:
+        for M in KERNEL_MASSES:
+            phases = _grid_phases(M, base, params, mode, grid)
+            for i, a in enumerate(grid):
+                assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
+                    (M, a, base)
+
+
+def test_grid_kernel_keeps_the_scalar_errors():
+    tiny_pool = arch(n0=1000.0, s0=1.0e6)
+    off = ModelParams(cognate_frequency=1e-9, contact_latency=RECRUITMENT_DISABLED)
+    cases = [
+        (-1.0, arch(), ModelParams(), "spatial", [0.0, 1.0]),
+        (math.nan, arch(), ModelParams(), "spatial", [0.0, 1.0]),
+        (10.0, arch(), ModelParams(bcrit_coefficient=5.0), "spatial", [0.0, 1.0]),
+        (10.0, arch(), ModelParams(), "diagonal", [0.0, 1.0]),
+        (10.0, arch(), ModelParams(), "spatial", [0.5, 1.5]),
+        # the local pool underflows to 0 at a = 0 only: B_initial must be > 0
+        (1e-322, tiny_pool, off, "contention", [1.0, 0.5, 0.0]),
+    ]
+    for M, base, params, mode, exponents in cases:
+        with pytest.raises(ValueError) as scalar:
+            for a in exponents:
+                total_response_time(M, base.with_exponent(a), params, mode)
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            _grid_phases(M, base, params, mode, exponents)
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    log_mass=st.floats(-3.0, 9.0),
+    a=st.floats(0.0, 1.0),
+    d=st.sampled_from([1, 2, 3]),
+    n0=st.floats(1.0, 50.0),
+    s0=st.floats(1.0e4, 1.0e8),
+    bcrit=st.floats(0.01, 5.0),
+    latency=st.one_of(st.floats(0.0, 2.0), st.just(RECRUITMENT_DISABLED)),
+    composition=st.sampled_from(["serial", "parallel"]),
+    rho=st.floats(0.0, 2.0),
+    speed=st.floats(0.1, 10.0),
+    volume=st.floats(0.1, 10.0),
+    mode=st.sampled_from(["spatial", "contention"]),
+)
+def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, composition,
+                              rho, speed, volume, mode):
+    M = 10.0 ** log_mass
+    base = arch(n0=n0, s0=s0, d=d)
+    params = ModelParams(bcrit_coefficient=bcrit, contact_latency=latency,
+                         recruitment_composition=composition, contention_coefficient=rho,
+                         detector_speed=speed, body_volume_coefficient=volume)
+    exponents = [0.0, a, 1.0]
+
+    def kernel_rows():
+        phases = _grid_phases(M, base, params, mode, exponents)
+        assert np.array_equal(phases[3], phases[0] + phases[1] + phases[2])
+        return [bits(*(p[i] for p in phases)) for i in range(len(exponents))]
+
+    scalar = outcome(lambda: [scalar_bits(M, base, params, mode, x) for x in exponents])
+    assert outcome(kernel_rows) == scalar

@@ -283,6 +283,18 @@ def test_recruitment_contact_count_matches_analytic_demand():
         assert t_recruit == recruitment_time(M, arch(a=a), world.params)
 
 
+@pytest.mark.parametrize("M", [3.0, 7.0, 13.0, 25000.0])
+def test_parallel_recruitment_within_one_latency_of_analytic(M):
+    # the simulator charges whole doubling waves, lambda * ceil(log2(k + 1)),
+    # the analytic law lambda * log2(k + 1)
+    p = ModelParams(contact_latency=0.3, recruitment_composition="parallel")
+    for a in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
+        world = _run_through_recruitment(M, a, params=p)
+        t_recruit, _ = run_recruitment(world)
+        gap = t_recruit - recruitment_time(M, arch(a=a), p)
+        assert 0.0 <= gap < p.contact_latency, (M, a, gap)
+
+
 def test_recruitment_zero_when_local_pool_suffices():
     world = _run_through_recruitment(100.0, 0.0)
     t_recruit, log = run_recruitment(world)
