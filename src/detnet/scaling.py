@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -84,9 +85,9 @@ class ArchitectureSpec:
     def __post_init__(self):
         if not 0.0 <= self.exponent <= 1.0:
             raise ValueError(f"exponent must be in [0, 1], got {self.exponent}")
-        if self.base_hub_count < 1.0:
+        if not self.base_hub_count >= 1.0:
             raise ValueError(f"base_hub_count must be >= 1, got {self.base_hub_count}")
-        if self.base_hub_size <= 0.0:
+        if not self.base_hub_size > 0.0:
             raise ValueError(f"base_hub_size must be > 0, got {self.base_hub_size}")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
@@ -156,11 +157,12 @@ class ModelParams:
                     self.plasma_yield, self.bcrit_coefficient, self.doubling_time
                 ),
             )
-        elif not self.antibody_coefficient > 0.0:
+        # also a calibrated coefficient, which underflows to 0 on tiny inputs
+        if not self.antibody_coefficient > 0.0:
             raise ValueError(f"antibody_coefficient must be > 0, got {self.antibody_coefficient}")
         for name in ("contact_latency", "contention_coefficient", "recruit_transit_coefficient"):
             value = getattr(self, name)
-            if value < 0.0:
+            if not value >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.recruitment_composition not in ("serial", "parallel"):
             raise ValueError(
@@ -221,34 +223,27 @@ def check_feasible(arch: ArchitectureSpec, params: ModelParams) -> None:
 
 _GEOMETRY_SEED = 180451
 _GEOMETRY_SAMPLES = 4_000_000
-_geometry_cache: dict[int, float] = {}
 
 
-def mean_center_distance(dimension: int, samples: int = _GEOMETRY_SAMPLES,
-                         seed: int = _GEOMETRY_SEED) -> float:
+@cache
+def mean_center_distance(dimension: int) -> float:
     """Mean Euclidean distance from a uniform point in the unit d-cube to the
-    cube's center, estimated once by Monte Carlo and cached.
+    cube's center, estimated once per dimension by Monte Carlo and cached.
 
     The fixed seed makes the constant reproducible across runs and platforms.
     """
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
-    key = dimension
-    if samples == _GEOMETRY_SAMPLES and seed == _GEOMETRY_SEED and key in _geometry_cache:
-        return _geometry_cache[key]
-    rng = np.random.default_rng(seed + dimension)
+    rng = np.random.default_rng(_GEOMETRY_SEED + dimension)
     chunk = 1_000_000
     total = 0.0
     drawn = 0
-    while drawn < samples:
-        n = min(chunk, samples - drawn)
+    while drawn < _GEOMETRY_SAMPLES:
+        n = min(chunk, _GEOMETRY_SAMPLES - drawn)
         pts = rng.random((n, dimension)) - 0.5
         total += float(np.sqrt((pts * pts).sum(axis=1)).sum())
         drawn += n
-    value = total / samples
-    if samples == _GEOMETRY_SAMPLES and seed == _GEOMETRY_SEED:
-        _geometry_cache[key] = value
-    return value
+    return total / _GEOMETRY_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +268,9 @@ def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
     """
     _require_positive_mass(M)
     continuous = arch.base_hub_count * M ** arch.exponent
+    if not math.isfinite(continuous):
+        raise ValueError(f"hub count n0*M^a = {continuous} is not finite "
+                         f"(n0={arch.base_hub_count}, M={M}, a={arch.exponent})")
     return continuous, max(1, round(float(continuous)))
 
 
@@ -322,7 +320,8 @@ def recruitment_demand(M: float, arch: ArchitectureSpec, params: ModelParams) ->
 
     Each contacted peer contributes its own cognate pool f * S(M); the count
     is the ceiling of the deficit over that contribution, and can never
-    exceed the rounded number of peers that exist.
+    exceed the rounded number of peers that exist. A local pool that
+    underflows to 0, or a ceiling too large to be finite, is refused.
     """
     _require_positive_mass(M)
     check_feasible(arch, params)
@@ -330,9 +329,15 @@ def recruitment_demand(M: float, arch: ArchitectureSpec, params: ModelParams) ->
     deficit = params.bcrit_coefficient * M - local
     if deficit <= 0.0:
         return 0
-    per_hub = local
+    if not local > 0.0:
+        raise ValueError(f"local cognate pool f*S(M) underflows to {local} at M={M}, "
+                         f"a={arch.exponent}; no peer hub can cover the deficit")
+    peers = deficit / local
+    if not math.isfinite(peers):
+        raise ValueError(f"recruitment demand deficit/local = {peers} is not finite "
+                         f"at M={M}, a={arch.exponent}")
     _, rounded = hub_count(M, arch)
-    return min(math.ceil(deficit / per_hub), max(0, rounded - 1))
+    return min(math.ceil(peers), max(0, rounded - 1))
 
 
 def recruitment_time(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
@@ -433,7 +438,8 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
 
     Returns (t_detect, t_recruit, t_expand, t_total) as arrays, equal bit for
     bit to the scalar path at each exponent (`arch`'s own exponent is
-    ignored). The IEEE-exact operations (+ - * /, ceil, rint, minimum,
+    ignored), or raises the scalar path's error at the first exponent it
+    refuses. The IEEE-exact operations (+ - * /, ceil, rint, minimum,
     where) run on whole arrays in the scalar path's order; every pow and
     log2 runs per element through libm, as Python float `**` and
     math.log2, because numpy's SIMD pow and log2 can differ in the last bit.
@@ -448,10 +454,11 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
     check_feasible(arch, params)
     _require_mode(mode)
 
-    # an underflowed pool is refused below with the scalar path's message,
+    # a point the scalar path refuses is refused below with its message,
     # not reported as a numpy warning on the way there
     with np.errstate(all="ignore"):
         continuous = arch.base_hub_count * _per_element(pow, repeat(M), a.tolist())
+        ok = np.isfinite(continuous)  # False wherever the scalar path may refuse
         local = params.cognate_frequency * (
             arch.base_hub_size * _per_element(pow, repeat(M), (1.0 - a).tolist()))
         if mode == "spatial":
@@ -465,6 +472,7 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
         if params.recruitment_enabled:
             deficit = needed - local
             peers = np.ceil(deficit / local)
+            ok &= np.isfinite(peers)
             rounded = np.maximum(1.0, np.rint(continuous))
             k = np.where(deficit <= 0.0, 0.0, np.minimum(peers, rounded - 1.0))
             if params.recruitment_composition == "parallel":
@@ -481,11 +489,10 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
             pool = np.where(needed < local, needed, local)
 
         target = params.antibody_coefficient * M / params.plasma_yield
-        empty = np.flatnonzero(~(pool > 0.0))
-        if empty.size or not target > 0.0:
-            # the scalar check at the first failing point raises its own error
-            first = empty[0] if empty.size and target > 0.0 else 0
-            expansion_time(float(pool[first]), target, params.doubling_time)
+        ok &= (pool > 0.0) & (target > 0.0)
+        for i in np.flatnonzero(~ok):
+            # the scalar path raises its own error at the first point it refuses
+            total_response_time(M, arch.with_exponent(exponents[i]), params, mode)
         t_expand = params.doubling_time * _per_element(math.log2, (target / pool).tolist())
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
         t_total = t_detect + t_recruit + t_expand

@@ -231,3 +231,13 @@ def test_simulate_walk_step_limit_exit_code_1(tmp_path, capsys):
                         f"output = {tmp_path / 'sim.csv'}\n")
     assert dispatch(["simulate", "--config", cfg]) == 1
     assert "not absorbed within 1000000 steps" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("mass, exponent, config, message", [
+    ("1e-322", "0", "cognate_frequency = 1e-9\nbase_hub_count = 1000\n", "underflows to 0.0"),
+    ("1e10", "1", "base_hub_count = 1e300\n", "hub count n0*M^a = inf"),
+])
+def test_analyze_refuses_extreme_scalar_inputs(tmp_path, capsys, mass, exponent, config, message):
+    cfg = run(tmp_path, config)
+    assert dispatch(["analyze", "--mass", mass, "--exponent", exponent, "--config", cfg]) == 1
+    assert message in one_line_error(capsys)

@@ -108,6 +108,24 @@ def test_model_params_validation():
         ModelParams(recruitment_composition="broadcast")
 
 
+@pytest.mark.parametrize("owner, name", [
+    (ModelParams, "contact_latency"),
+    (ModelParams, "contention_coefficient"),
+    (ModelParams, "recruit_transit_coefficient"),
+    (ArchitectureSpec, "base_hub_count"),
+    (ArchitectureSpec, "base_hub_size"),
+])
+def test_nan_refused_by_owner(owner, name):
+    # a NaN contact latency used to switch recruitment off silently
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got nan$"):
+        owner(**{name: math.nan})
+
+
+def test_calibrated_antibody_coefficient_must_be_positive():
+    with pytest.raises(ValueError, match="^antibody_coefficient must be > 0, got 0.0$"):
+        ModelParams(plasma_yield=5e-324, bcrit_coefficient=5e-324)
+
+
 @pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan, 0.0])
 def test_mass_must_be_finite_and_positive(M):
     with pytest.raises(ValueError, match="mass ratio"):
@@ -274,6 +292,21 @@ def test_recruitment_demand_scaling_exponent():
         ks = [recruitment_demand(M, spec, p) for M in masses]
         slope = np.polyfit(np.log(masses), np.log(ks), 1)[0]
         assert abs(slope - a) < 0.05, f"a={a}: fitted {slope}"
+
+
+def test_hub_count_refuses_overflow():
+    with pytest.raises(ValueError, match="hub count n0\\*M\\^a = inf is not finite"):
+        hub_count(1e10, arch(a=1.0, n0=1e300))
+
+
+def test_recruitment_demand_refuses_empty_pool_and_infinite_demand():
+    # f * S(M) underflows to 0 at M = 1e-322, a = 0
+    with pytest.raises(ValueError, match="local cognate pool f\\*S\\(M\\) underflows to 0.0"):
+        recruitment_demand(1e-322, arch(a=0.0, n0=1000.0), ModelParams(cognate_frequency=1e-9))
+    # an infinite deficit over a finite local pool
+    with pytest.raises(ValueError, match="deficit/local = inf is not finite"):
+        recruitment_demand(1.0, arch(n0=1e308, s0=1e300),
+                           ModelParams(bcrit_coefficient=math.inf))
 
 
 def test_recruitment_infeasible_raises():
@@ -532,6 +565,19 @@ def test_grid_kernel_keeps_the_scalar_errors():
         (10.0, arch(), ModelParams(), "spatial", [0.5, 1.5]),
         # the local pool underflows to 0 at a = 0 only: B_initial must be > 0
         (1e-322, tiny_pool, off, "contention", [1.0, 0.5, 0.0]),
+        # the same with recruitment on: no peer can be recruited from
+        (1e-322, tiny_pool, ModelParams(cognate_frequency=1e-9), "contention", [1.0, 0.5, 0.0]),
+        # the hub count overflows at a = 1 only
+        (1e10, arch(n0=1e300), ModelParams(), "spatial", [0.0, 0.5, 1.0]),
+        # the deficit over the local pool is infinite
+        (1.0, arch(n0=1e308, s0=1e300), ModelParams(bcrit_coefficient=math.inf), "spatial",
+         [0.0, 1.0]),
+        # needed and local are both inf at a = 0: deficit/local is NaN
+        (1e10, arch(s0=1e300), ModelParams(cognate_frequency=1.0, bcrit_coefficient=1e300),
+         "spatial", [0.0, 1.0]),
+        # the output target underflows to 0 at every point: B_target must be > 0
+        (1e-5, arch(), ModelParams(antibody_coefficient=5e-324, plasma_yield=1e10,
+                                   contact_latency=RECRUITMENT_DISABLED), "spatial", [0.0, 1.0]),
     ]
     for M, base, params, mode, exponents in cases:
         with pytest.raises(ValueError) as scalar:
@@ -539,6 +585,14 @@ def test_grid_kernel_keeps_the_scalar_errors():
                 total_response_time(M, base.with_exponent(a), params, mode)
         with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
             _grid_phases(M, base, params, mode, exponents)
+
+
+def test_grid_kernel_keeps_points_the_scalar_path_accepts():
+    # an infinite local pool makes deficit/local NaN at a = 0, where the
+    # scalar path needs no peer: the point is checked, not refused
+    base, params, grid = arch(s0=1e308), ModelParams(cognate_frequency=1.0), [0.0, 0.5, 1.0]
+    expected = [total_response_time(100.0, base.with_exponent(a), params).t_total for a in grid]
+    assert _grid_phases(100.0, base, params, "spatial", grid)[3].tolist() == expected
 
 
 def outcome(evaluate):
