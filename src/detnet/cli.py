@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = parse_config("")
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # validated like a config seed
     return cfg
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -99,7 +98,13 @@ class ArchitectureSpec:
 def _calibrated_antibody_coefficient(plasma_yield, bcrit_coefficient, doubling_time):
     # Output target per unit mass such that expanding from the critical pool
     # B_crit = bcrit * M always takes BASELINE_RESPONSE_TIME, whatever M.
-    return plasma_yield * bcrit_coefficient * 2.0 ** (BASELINE_RESPONSE_TIME / doubling_time)
+    try:
+        growth = 2.0 ** (BASELINE_RESPONSE_TIME / doubling_time)
+    except OverflowError:
+        raise ValueError(f"doubling_time is too short to calibrate antibody_coefficient: "
+                         f"2**({BASELINE_RESPONSE_TIME:g}/doubling_time) overflows, "
+                         f"got {doubling_time}") from None
+    return plasma_yield * bcrit_coefficient * growth
 
 
 @dataclass(frozen=True)
@@ -221,29 +226,21 @@ def check_feasible(arch: ArchitectureSpec, params: ModelParams) -> None:
 # geometry constant
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_SEED = 180451
-_GEOMETRY_SAMPLES = 4_000_000
+_MEAN_CENTER_DISTANCE = {
+    1: 1 / 4,
+    2: (math.sqrt(2) + math.asinh(1)) / 6,
+    3: (math.sqrt(3) / 4 - math.pi / 24 + math.log(2 + math.sqrt(3)) / 2) / 2,
+}
 
 
-@cache
 def mean_center_distance(dimension: int) -> float:
     """Mean Euclidean distance from a uniform point in the unit d-cube to the
-    cube's center, estimated once per dimension by Monte Carlo and cached.
-
-    The fixed seed makes the constant reproducible across runs and platforms.
-    """
+    cube's center, in closed form. Each orthant is a cube of side 1/2 with a
+    vertex at the center, so this is half the mean distance from a vertex of
+    the unit d-cube (Weisstein, "Square/Cube Point Picking", MathWorld)."""
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
-    rng = np.random.default_rng(_GEOMETRY_SEED + dimension)
-    chunk = 1_000_000
-    total = 0.0
-    drawn = 0
-    while drawn < _GEOMETRY_SAMPLES:
-        n = min(chunk, _GEOMETRY_SAMPLES - drawn)
-        pts = rng.random((n, dimension)) - 0.5
-        total += float(np.sqrt((pts * pts).sum(axis=1)).sum())
-        drawn += n
-    return total / _GEOMETRY_SAMPLES
+    return _MEAN_CENTER_DISTANCE[dimension]
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     site = np.asarray(site, dtype=float)
     if site.shape != (world.arch.dimension,):
         raise ValueError(f"site must have {world.arch.dimension} coordinates, got {site.shape}")
-    if np.any(site < 0.0) or np.any(site > world.extent):
+    if not np.all((site >= 0.0) & (site <= world.extent)):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {world.extent}]^d")
     hub_id = world.region_of(site)
     for i in range(n_detectors):

@@ -241,3 +241,26 @@ def test_analyze_refuses_extreme_scalar_inputs(tmp_path, capsys, mass, exponent,
     cfg = run(tmp_path, config)
     assert dispatch(["analyze", "--mass", mass, "--exponent", exponent, "--config", cfg]) == 1
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_seed_flag_is_validated(tmp_path, capsys, command):
+    cfg = run(tmp_path, f"masses = 1\nexponents = 0.5\noutput = {tmp_path / 'out.csv'}\n")
+    assert dispatch([command, "--config", cfg, "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in one_line_error(capsys)
+    assert list(tmp_path.glob("out.csv*")) == []
+
+
+def test_analyze_refuses_calibration_overflow(tmp_path, capsys):
+    cfg = run(tmp_path, "doubling_time = 1e-3\n")
+    assert dispatch(["analyze", "--mass", "1", "--exponent", "0.5", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 1: key 'doubling_time': doubling_time ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_simulate_refuses_nan_site(tmp_path, capsys):
+    cfg = run(tmp_path, f"site = nan 0.5\noutput = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    assert "outside the domain" in one_line_error(capsys)
+    assert list(tmp_path.glob("sim.csv*")) == []

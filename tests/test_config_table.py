@@ -33,7 +33,7 @@ BAD_VALUES = {
     "bcrit_coefficient": ["0", "nan"],
     "antibody_coefficient": ["-1", "nan", "auto"],
     "plasma_yield": ["0", "nan"],
-    "doubling_time": ["-1", "nan", "fast"],
+    "doubling_time": ["-1", "nan", "fast", "1e-3"],
     "detector_speed": ["0", "nan"],
     "contact_latency": ["-0.1", "nan", "-inf"],
     "contention_coefficient": ["-1", "nan"],

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from detnet.scaling import (
     ArchitectureSpec,
@@ -17,6 +17,7 @@ from detnet.scaling import (
     TimingBreakdown,
     activated_pool,
     antibody_requirement,
+    check_feasible,
     detection_time,
     dr_extent,
     expansion_time,
@@ -126,6 +127,14 @@ def test_calibrated_antibody_coefficient_must_be_positive():
         ModelParams(plasma_yield=5e-324, bcrit_coefficient=5e-324)
 
 
+def test_calibration_overflow_names_doubling_time():
+    with pytest.raises(ValueError, match="^doubling_time is too short to calibrate "
+                                         r"antibody_coefficient: .* overflows, got 0\.001$"):
+        ModelParams(doubling_time=1e-3)
+    # an explicit output target needs no calibration, so the period is accepted
+    assert ModelParams(doubling_time=1e-3, antibody_coefficient=1.0).doubling_time == 1e-3
+
+
 @pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan, 0.0])
 def test_mass_must_be_finite_and_positive(M):
     with pytest.raises(ValueError, match="mass ratio"):
@@ -196,6 +205,37 @@ def test_conservation_product():
         assert abs(product - expected) <= 1e-12 * expected
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_mass=st.floats(-3.0, 9.0), a=st.floats(0.0, 1.0),
+       n0=st.floats(1.0, 1.0e4), s0=st.floats(1.0, 1.0e8))
+def test_conservation_property(log_mass, a, n0, s0):
+    M = 10.0 ** log_mass
+    spec = arch(a=a, n0=n0, s0=s0)
+    product = hub_count(M, spec)[0] * hub_size(M, spec)
+    assert product == pytest.approx(n0 * s0 * M, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.0, 1.0), n0=st.floats(1.0, 100.0), s0=st.floats(1.0e2, 1.0e8),
+       log_f=st.floats(-9.0, -3.0), bcrit=st.floats(0.01, 10.0),
+       log_masses=st.lists(st.floats(-3.0, 9.0), min_size=2, max_size=6))
+def test_feasibility_independent_of_mass_property(a, n0, s0, log_f, bcrit, log_masses):
+    spec = arch(a=a, n0=n0, s0=s0)
+    params = ModelParams(cognate_frequency=10.0 ** log_f, bcrit_coefficient=bcrit)
+    pool_per_mass = params.cognate_frequency * n0 * s0
+    assume(abs(pool_per_mass / bcrit - 1.0) > 1e-9)  # clear of the boundary's rounding
+    feasible = outcome(lambda: check_feasible(spec, params)) is None
+    assert feasible == (pool_per_mass >= bcrit)
+    for M in (10.0 ** x for x in log_masses):
+        pool = params.cognate_frequency * hub_count(M, spec)[0] * hub_size(M, spec)
+        assert (pool >= bcrit * M) == feasible
+        result = outcome(lambda: total_response_time(M, spec, params))
+        if feasible:
+            assert isinstance(result, TimingBreakdown)
+        else:
+            assert result[0] is InfeasibleParametersError
+
+
 def test_dr_extent_examples():
     p = ModelParams()
     extents = {M: dr_extent(M, arch(a=1.0), p) for M in (1.0, 10.0, 1e4)}
@@ -211,6 +251,26 @@ def test_mean_center_distance_against_independent_monte_carlo():
         assert abs(cached - est) < 3.0 * se * 1.2, f"d={d}: {cached} vs {est} (se {se})"
     # unit square value quoted to four decimals
     assert abs(mean_center_distance(2) - 0.3826) < 5e-4
+
+
+def gauss_legendre_center_distance(dimension, nodes):
+    """Product Gauss-Legendre rule over the orthant [0, 1/2]^d, which holds
+    the same distribution of centre distances as the whole cube."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1.0) / 4.0, w / 4.0
+    points = np.meshgrid(*[x] * dimension, indexing="ij")
+    weights = np.prod(np.meshgrid(*[w] * dimension, indexing="ij"), axis=0)
+    return float((np.sqrt(sum(p * p for p in points)) * weights).sum()) * 2 ** dimension
+
+
+def test_mean_center_distance_closed_form():
+    assert mean_center_distance(1) == 0.25
+    for d, nodes in ((2, 200), (3, 100)):
+        quad = gauss_legendre_center_distance(d, nodes)
+        assert mean_center_distance(d) == pytest.approx(quad, rel=1e-12, abs=0.0), d
+    for d in (0, 4):
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            mean_center_distance(d)
 
 
 def test_detection_time_modes():

@@ -129,6 +129,14 @@ def test_spawn_site_reproducible_from_seed():
     assert not np.array_equal(w1.detectors[0].position, w3.detectors[0].position)
 
 
+@pytest.mark.parametrize("site", [[math.nan, 0.5], [0.5, -0.1], [1.5, 0.5]])
+def test_spawn_refuses_site_outside_the_domain(site):
+    world = build_world(1.0, arch(), ModelParams(), seed=1)
+    with pytest.raises(ValueError, match=r"^site .* outside the domain \[0, 1\.0\]\^d$"):
+        spawn_infection(world, site=site)
+    assert world.detectors == []
+
+
 def test_straight_arrival_time_is_distance_over_speed():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     site = np.array([0.5, 0.2])  # distance 0.3 from the center
