@@ -22,7 +22,7 @@ from detnet.scaling import (
     total_response_time,
 )
 from detnet.scenarios import PROFILE_NAMES, evaluate_scenario, profile_from_name, scenario_table
-from detnet.sim import EventLog, EventRecord, simulate
+from detnet.sim import simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
 
@@ -140,7 +140,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {trials}")
 
     rows = []
-    events = []
+    events = []  # per trial: a trial-begin marker line, then the trial's log
+    n_events = 0
     for M in cfg.masses:
         detect, recruit, expand = [], [], []
         for trial in range(trials):
@@ -151,8 +152,9 @@ def _cmd_simulate(args) -> int:
             rows.append(CsvRow(M, cfg.arch.exponent, "sim", cfg.movement,
                                bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total,
                                trial_seed, trial))
-            events.append(EventRecord(0.0, "trial-begin", trial, -1))
-            events.extend(log)
+            events.append(f"{0.0:.9f}\ttrial-begin\t{trial}\t-1\n")
+            events.append(log.to_text())
+            n_events += 1 + len(log)
             detect.append(bd.t_detect)
             recruit.append(bd.t_recruit)
             expand.append(bd.t_expand)
@@ -166,8 +168,8 @@ def _cmd_simulate(args) -> int:
 
     write_csv(rows, cfg.output)
     events_path = str(cfg.output) + ".events"
-    Path(events_path).write_text(EventLog(events).to_text(), encoding="utf-8", newline="")
-    print(f"wrote {len(rows)} rows to {cfg.output} and {len(events)} events to {events_path}")
+    Path(events_path).write_text("".join(events), encoding="utf-8", newline="")
+    print(f"wrote {len(rows)} rows to {cfg.output} and {n_events} events to {events_path}")
     return 0
 
 

@@ -124,8 +124,6 @@ class ModelParams:
     contention_coefficient:   time per detector sharing a hub (contention mode,
                               detector density folded in)
     body_volume_coefficient:  domain volume per unit mass
-    recruit_transit_coefficient: optional time per unit distance for recruited
-                              responders in the simulator (0 = instantaneous)
     recruitment_composition:  "serial" contacts one peer after another,
                               "parallel" fans out as a doubling tree
     """
@@ -139,7 +137,6 @@ class ModelParams:
     contact_latency: float = 0.2
     contention_coefficient: float = 0.1
     body_volume_coefficient: float = 1.0
-    recruit_transit_coefficient: float = 0.0
     recruitment_composition: str = "serial"
 
     def __post_init__(self):
@@ -165,7 +162,7 @@ class ModelParams:
         # also a calibrated coefficient, which underflows to 0 on tiny inputs
         if not self.antibody_coefficient > 0.0:
             raise ValueError(f"antibody_coefficient must be > 0, got {self.antibody_coefficient}")
-        for name in ("contact_latency", "contention_coefficient", "recruit_transit_coefficient"):
+        for name in ("contact_latency", "contention_coefficient"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,15 +28,12 @@ from detnet.scaling import (
     recruitment_demand,
 )
 
-__all__ = [
-    "Detector", "EventRecord", "EventLog", "SimWorld", "SimulationInvariantError",
-    "WalkLimitError", "MAX_HUBS", "build_world", "spawn_infection", "run_detection",
-    "run_recruitment", "run_expansion", "simulate",
-]
+__all__ = ["EventRecord", "EventLog", "SimWorld", "SimulationInvariantError", "WalkLimitError",
+           "MAX_HUBS", "build_world", "spawn_infection", "run_detection", "run_recruitment",
+           "run_expansion", "simulate"]
 
 EVENT_TIME_DIGITS = 9
 _EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
-_TIME = itemgetter(0)
 
 # Largest world build_world accepts: three (n, d) float64 coordinate arrays,
 # about 144 MB at d = 3.
@@ -57,14 +53,6 @@ class WalkLimitError(ValueError):
     limit: the step is too short for the domain)."""
 
 
-@dataclass
-class Detector:
-    ident: int
-    position: np.ndarray
-    state: str  # roaming | loaded | delivered
-    hub_id: int
-
-
 class EventRecord(NamedTuple):
     time: float
     kind: str
@@ -76,24 +64,28 @@ class EventRecord(NamedTuple):
 
 
 class EventLog:
-    """Time-ordered event records; ties keep insertion (sequence) order."""
+    """Events in time order, ties in scheduling order, held as four columns
+    (time, kind, subject, hub); records are built only on iteration."""
 
     def __init__(self, records=()):
-        self.records: list[EventRecord] = list(records)
+        self._columns = [list(c) for c in zip(*records)] or [[], [], [], []]  # order kept
 
     def __len__(self):
-        return len(self.records)
+        return len(self._columns[0])
 
     def __iter__(self):
-        return iter(self.records)
+        return map(EventRecord, *self._columns)
 
     def __eq__(self, other):
-        return isinstance(other, EventLog) and self.records == other.records
+        return isinstance(other, EventLog) and self._columns == other._columns
 
     def to_text(self) -> str:
         """Serialize as one `time<TAB>kind<TAB>subject<TAB>hub` line per event."""
-        line = _EVENT_LINE + "\n"
-        return "".join([line % r for r in self.records])
+        n = len(self)
+        fields = [None] * (4 * n)  # time, kind, subject and hub, event by event
+        for i, column in enumerate(self._columns):
+            fields[i::4] = column
+        return (_EVENT_LINE + "\n") * n % tuple(fields)
 
 
 @dataclass
@@ -110,20 +102,31 @@ class SimWorld:
     lower: np.ndarray
     upper: np.ndarray
     hub_size: float
-    detectors: list[Detector] = field(default_factory=list)
+    # one row per detector: its (k, d) position and the hub it reports to
+    detector_positions: np.ndarray
+    detector_hubs: np.ndarray
     clock: float = 0.0
     rng: np.random.Generator = None  # type: ignore[assignment]
     infected_hub: int | None = None
     pool: float | None = None
-    _pending: list[EventRecord] = field(default_factory=list)  # index = sequence number
+    # event columns (time, kind, subject, hub); an event's index is its sequence number
+    _events: tuple[list, ...] = field(default_factory=lambda: ([], [], [], []))
 
-    def schedule(self, time: float, kind: str, subject: int, hub: int) -> None:
-        self._pending.append(EventRecord(time, kind, subject, hub))
+    def schedule(self, times: list, kind: str, subjects, hubs) -> None:
+        """Append one event per entry of `times`, `subjects` and `hubs`, in order."""
+        for column, values in zip(self._events, (times, [kind] * len(times), subjects, hubs)):
+            column.extend(values)
 
     def drain(self, since_seq: int = 0) -> EventLog:
         """Events scheduled at or after `since_seq`, ordered by (time, seq)."""
-        # a stable sort on time alone keeps ties in scheduling order
-        return EventLog(sorted(self._pending[since_seq:], key=_TIME))
+        columns = [column[since_seq:] for column in self._events]
+        times = columns[0]
+        if times != sorted(times):  # else the stable sort below is the identity
+            order = sorted(range(len(times)), key=times.__getitem__)  # ties keep seq order
+            columns = [[column[i] for i in order] for column in columns]
+        log = EventLog()
+        log._columns = columns
+        return log
 
     def cell_widths(self) -> np.ndarray:
         return self.extent / np.asarray(self.grid_shape, dtype=float)
@@ -155,6 +158,7 @@ def _factorizations(n: int, dimension: int) -> list[tuple[int, ...]]:
     return [(f, *rest) for f in _divisors(n) for rest in _factorizations(n // f, dimension - 1)]
 
 
+@lru_cache(maxsize=256)  # pure, and a sweep builds the same shapes again
 def _grid_shape(n: int, dimension: int) -> tuple[int, ...]:
     """Factor n into `dimension` axis counts minimizing the cell aspect ratio
     (max factor over min factor); ties resolve to the lexicographically
@@ -190,6 +194,8 @@ def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int
         lower=lower,
         upper=(idx + 1.0) * widths,
         hub_size=hub_size(M, arch),
+        detector_positions=np.empty((0, d)),
+        detector_hubs=np.empty(0, dtype=np.int64),
         rng=np.random.default_rng(seed),
     )
 
@@ -207,9 +213,11 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     if not np.all((site >= 0.0) & (site <= world.extent)):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {world.extent}]^d")
     hub_id = world.region_of(site)
-    for i in range(n_detectors):
-        world.detectors.append(Detector(i, site.copy(), "loaded", hub_id))
-        world.schedule(world.clock, "spawn", i, hub_id)
+    first = len(world.detector_hubs)  # a detector's ident is its row
+    world.detector_positions = np.concatenate((world.detector_positions, [site] * n_detectors))
+    world.detector_hubs = np.concatenate((world.detector_hubs, [hub_id] * n_detectors))
+    world.schedule([world.clock] * n_detectors, "spawn", range(first, first + n_detectors),
+                   [hub_id] * n_detectors)
     return world
 
 
@@ -259,39 +267,37 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
 
 def run_detection(world: SimWorld, movement: str = "straight",
                   step_length: float = 0.1) -> tuple[float, EventLog]:
-    """Move every loaded detector to its hub; detection completes at the first
-    arrival. Straight mode travels the exact distance at detector speed;
+    """Move every spawned detector to its hub; detection completes at the
+    first arrival. Straight mode travels the exact distance at detector speed;
     random-walk mode takes fixed-length steps in uniform directions."""
-    loaded = [det for det in world.detectors if det.state == "loaded"]
-    if not loaded:
-        raise SimulationInvariantError("run_detection called with no loaded detectors")
+    if not len(world.detector_hubs):
+        raise SimulationInvariantError("run_detection called before spawn_infection")
+    if world.infected_hub is not None:
+        raise SimulationInvariantError("run_detection called after detection completed")
     if movement not in ("straight", "random_walk"):
         raise ValueError(f"unknown movement {movement!r}; expected 'straight' or 'random_walk'")
     if movement == "random_walk" and not step_length > 0.0:
         raise ValueError(f"step_length must be > 0, got {step_length}")
 
-    start_seq = len(world._pending)
+    start_seq = len(world._events[0])
     start_time = world.clock
     v = world.params.detector_speed
-    first_arrival = None
-    first_hub = None
-    for det in loaded:
-        hub_pos = world.centers[det.hub_id]
+    hubs = world.detector_hubs.tolist()
+    # detector by detector: a row-wise norm rounds differently from
+    # np.linalg.norm of one vector, and each walk draws from the RNG in turn
+    arrivals = []
+    for position, hub in zip(world.detector_positions, hubs):
         if movement == "straight":
-            travel = float(np.linalg.norm(det.position - hub_pos)) / v
+            travel = float(np.linalg.norm(position - world.centers[hub])) / v
         else:
-            steps = _walk_arrival_steps(world, det.position, hub_pos, step_length)
+            steps = _walk_arrival_steps(world, position, world.centers[hub], step_length)
             travel = steps * step_length / v
-        arrival = start_time + travel
-        det.state = "delivered"
-        world.schedule(arrival, "arrival", det.ident, det.hub_id)
-        if first_arrival is None or arrival < first_arrival:
-            first_arrival = arrival
-            first_hub = det.hub_id
-
-    world.infected_hub = first_hub
-    world.clock = first_arrival
-    return first_arrival - start_time, world.drain(start_seq)
+        arrivals.append(start_time + travel)
+    world.schedule(arrivals, "arrival", range(len(hubs)), hubs)
+    first = arrivals.index(min(arrivals))  # the first detector among equal arrivals
+    world.infected_hub = hubs[first]
+    world.clock = arrivals[first]
+    return world.clock - start_time, world.drain(start_seq)
 
 
 def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
@@ -301,14 +307,11 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     if world.infected_hub is None:
         raise SimulationInvariantError("run_recruitment called before detection completed")
     params = world.params
-    start_seq = len(world._pending)
+    start_seq = len(world._events[0])
     start_time = world.clock
 
     world.pool = activated_pool(world.mass, world.arch, params)
-    if not params.recruitment_enabled:
-        return 0.0, world.drain(start_seq)
-
-    k = recruitment_demand(world.mass, world.arch, params)
+    k = recruitment_demand(world.mass, world.arch, params) if params.recruitment_enabled else 0
     if k == 0:
         return 0.0, world.drain(start_seq)
 
@@ -327,11 +330,8 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
         offset = params.contact_latency * np.frexp(rank)[1]
     else:
         offset = params.contact_latency * rank
-    if params.recruit_transit_coefficient > 0.0:
-        offset = offset + params.recruit_transit_coefficient * np.sqrt(squared[peers])
-    world._pending.extend(map(EventRecord, (start_time + offset).tolist(),
-                              repeat("contact-complete"), peers.tolist(),
-                              repeat(world.infected_hub)))
+    world.schedule((start_time + offset).tolist(), "contact-complete", peers.tolist(),
+                   [world.infected_hub] * len(peers))
     # durations are accumulated relative to the phase start, never as a
     # difference of absolute clocks, so they match the analytic values
     # bit for bit
@@ -347,7 +347,7 @@ def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
     if world.pool is None:
         raise SimulationInvariantError("run_expansion called before recruitment completed")
     params = world.params
-    start_seq = len(world._pending)
+    start_seq = len(world._events[0])
     start_time = world.clock
     target = antibody_requirement(world.mass, params)
     population = world.pool
@@ -355,10 +355,10 @@ def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
     while population * params.plasma_yield < target:
         ticks += 1
         population *= 2.0
-        world.schedule(start_time + ticks * params.doubling_time, "doubling-tick",
-                       ticks, world.infected_hub)
         if ticks > 10_000:
             raise SimulationInvariantError("expansion did not reach the target in 10000 ticks")
+    world.schedule([start_time + tick * params.doubling_time for tick in range(1, ticks + 1)],
+                   "doubling-tick", range(1, ticks + 1), [world.infected_hub] * ticks)
     duration = ticks * params.doubling_time
     world.clock = start_time + duration
     return duration, world.drain(start_seq)

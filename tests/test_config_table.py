@@ -14,7 +14,7 @@ from detnet.scaling import ArchitectureSpec, ModelParams
 KEY_ORDER = [
     "cognate_frequency", "bcrit_coefficient", "antibody_coefficient", "plasma_yield",
     "doubling_time", "detector_speed", "contact_latency", "contention_coefficient",
-    "body_volume_coefficient", "recruit_transit_coefficient", "recruitment_composition",
+    "body_volume_coefficient", "recruitment_composition",
     "exponent", "base_hub_count", "base_hub_size", "dimension",
     "masses", "exponents", "mode", "movement", "trials", "seed", "output", "detectors",
     "walk_step", "grid_resolution", "limited_rho", "limited_lambda", "model3_exponent", "site",
@@ -38,7 +38,6 @@ BAD_VALUES = {
     "contact_latency": ["-0.1", "nan", "-inf"],
     "contention_coefficient": ["-1", "nan"],
     "body_volume_coefficient": ["0", "nan"],
-    "recruit_transit_coefficient": ["-1", "nan"],
     "recruitment_composition": ["tree"],
     "exponent": ["1.5", "-0.1", "nan"],
     "base_hub_count": ["0.5", "nan"],
@@ -69,6 +68,12 @@ def test_every_owner_field_is_a_key_in_emission_order():
 
 def test_every_key_has_bad_values():
     assert list(BAD_VALUES) == KEY_ORDER
+
+
+def test_deleted_transit_key_is_unknown():
+    with pytest.raises(ConfigError, match=r"^line 1: key 'recruit_transit_coefficient': "
+                                          r"unknown key$"):
+        parse_config("recruit_transit_coefficient = 0\n")
 
 
 @pytest.mark.parametrize("key, value", [(k, v) for k, vs in BAD_VALUES.items() for v in vs])
@@ -114,7 +119,6 @@ def run_configs(draw):
         contact_latency=draw(st.floats(0.0, 1e6) | st.just(math.inf)),
         contention_coefficient=draw(st.floats(0.0, 1e6)),
         body_volume_coefficient=draw(positive()),
-        recruit_transit_coefficient=draw(st.floats(0.0, 1e6)),
         recruitment_composition=draw(st.sampled_from(["serial", "parallel"])),
     )
     try:

@@ -112,7 +112,6 @@ def test_model_params_validation():
 @pytest.mark.parametrize("owner, name", [
     (ModelParams, "contact_latency"),
     (ModelParams, "contention_coefficient"),
-    (ModelParams, "recruit_transit_coefficient"),
     (ArchitectureSpec, "base_hub_count"),
     (ArchitectureSpec, "base_hub_size"),
 ])

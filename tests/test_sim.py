@@ -123,10 +123,10 @@ def test_spawn_site_reproducible_from_seed():
     w2 = build_world(16.0, arch(), ModelParams(), seed=9)
     spawn_infection(w1)
     spawn_infection(w2)
-    assert np.array_equal(w1.detectors[0].position, w2.detectors[0].position)
+    assert np.array_equal(w1.detector_positions[0], w2.detector_positions[0])
     w3 = build_world(16.0, arch(), ModelParams(), seed=10)
     spawn_infection(w3)
-    assert not np.array_equal(w1.detectors[0].position, w3.detectors[0].position)
+    assert not np.array_equal(w1.detector_positions[0], w3.detector_positions[0])
 
 
 @pytest.mark.parametrize("site", [[math.nan, 0.5], [0.5, -0.1], [1.5, 0.5]])
@@ -134,7 +134,7 @@ def test_spawn_refuses_site_outside_the_domain(site):
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     with pytest.raises(ValueError, match=r"^site .* outside the domain \[0, 1\.0\]\^d$"):
         spawn_infection(world, site=site)
-    assert world.detectors == []
+    assert len(world.detector_positions) == 0 and len(world.detector_hubs) == 0
 
 
 def test_straight_arrival_time_is_distance_over_speed():
@@ -268,6 +268,24 @@ def test_run_detection_validates_movement():
     spawn_infection(world)
     with pytest.raises(ValueError):
         run_detection(world, movement="hop")
+
+
+def test_run_detection_needs_a_spawn_and_runs_once():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    with pytest.raises(SimulationInvariantError, match="before spawn_infection"):
+        run_detection(world)
+    spawn_infection(world, n_detectors=2)
+    run_detection(world)
+    with pytest.raises(SimulationInvariantError, match="after detection completed"):
+        run_detection(world)
+
+
+def test_detector_arrays_hold_one_row_per_detector():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    assert world.detector_positions.shape == (0, 2) and world.detector_hubs.shape == (0,)
+    spawn_infection(world, site=[0.5, 3.5], n_detectors=3)
+    assert world.detector_positions.tolist() == [[0.5, 3.5]] * 3
+    assert world.detector_hubs.tolist() == [world.region_of(np.array([0.5, 3.5]))] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +458,64 @@ def test_event_record_is_immutable_and_log_text_is_its_lines():
         record.time = 1.0
     _, log = simulate(256.0, arch(), ModelParams(), seed=6, n_detectors=2)
     assert log.to_text() == "".join(r.to_line() + "\n" for r in log)
+
+
+def test_event_log_text_of_empty_and_single_event_logs():
+    assert EventLog().to_text() == ""
+    assert len(EventLog()) == 0 and list(EventLog()) == []
+    one = EventLog([EventRecord(0.1, "spawn", 0, 3)])
+    assert one.to_text() == "0.100000000\tspawn\t0\t3\n"
+
+
+def test_event_log_agrees_with_a_log_built_from_its_records():
+    _, log = simulate(256.0, arch(), ModelParams(), seed=6, n_detectors=3,
+                      movement="random_walk", step_length=0.5)
+    records = list(log)
+    assert all(type(r) is EventRecord for r in records)
+    assert [type(x) for x in records[0]] == [float, str, int, int]
+    rebuilt = EventLog(records)
+    assert len(rebuilt) == len(log) == len(records)
+    assert rebuilt == log and list(rebuilt) == records
+    assert rebuilt.to_text() == log.to_text()
+    assert EventLog(records[:-1]) != log
+    assert EventLog(records[:-1] + [records[-1]._replace(hub=-1)]) != log
+    assert log != records
+
+
+def test_drain_returns_events_scheduled_since_in_time_order():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    spawn_infection(world, n_detectors=2)
+    _, detect_log = run_detection(world)
+    assert world.drain(2) == detect_log
+    assert [r.kind for r in world.drain(2)] == ["arrival", "arrival"]
+    assert [r.kind for r in world.drain(1)] == ["spawn", "arrival", "arrival"]
+    assert len(world.drain(4)) == 0
+    # a later block with earlier times sorts before it; ties keep scheduling order
+    world.schedule([9.0, 5.0, 7.0], "late", [0, 1, 2], [0, 0, 0])
+    world.schedule([5.0, 9.0], "later", [3, 4], [1, 1])
+    assert [(r.time, r.subject) for r in world.drain(4)] == [
+        (5.0, 1), (5.0, 3), (7.0, 2), (9.0, 0), (9.0, 4)]
+    assert [r.kind for r in world.drain(0)][:2] == ["spawn", "spawn"]
+
+
+def test_equal_times_keep_scheduling_order_across_phases():
+    # zero latency: every contact completes at the arrival time
+    params = ModelParams(contact_latency=0.0)
+    world = build_world(64.0, arch(a=1.0), params, seed=4)
+    spawn_infection(world, n_detectors=2)
+    t_detect, _ = run_detection(world)
+    _, recruit_log = run_recruitment(world)
+    run_expansion(world)
+    log = world.drain(0)
+    at_arrival = [r for r in log if r.time == t_detect]
+    assert [r.kind for r in at_arrival] == ["arrival"] * 2 + ["contact-complete"] * 63
+    assert [r.subject for r in at_arrival[2:]] == [r.subject for r in recruit_log]
+    # the walkers' arrivals differ, so the full log interleaves phases
+    _, log = simulate(16.0, arch(), ModelParams(), seed=0, n_detectors=4,
+                      movement="random_walk", step_length=0.2)
+    assert [r.kind for r in log] == ["spawn"] * 4 + ["arrival"] + ["contact-complete"] * 3 + [
+        "doubling-tick"] * 4 + ["arrival"] * 3
+    assert [r.time for r in log] == sorted(r.time for r in log)
 
 
 def test_simulate_average_phases_track_analytic_model():
