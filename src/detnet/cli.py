@@ -21,8 +21,8 @@ from detnet.scaling import (
     sweep,
     total_response_time,
 )
-from detnet.scenarios import PROFILE_NAMES, evaluate_scenario, profile_from_name, scenario_table
-from detnet.sim import simulate
+from detnet.scenarios import PROFILE_NAMES, ScenarioVerdict, evaluate_scenario, profile_from_name
+from detnet.sim import EventRecord, simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
 
@@ -152,7 +152,7 @@ def _cmd_simulate(args) -> int:
             rows.append(CsvRow(M, cfg.arch.exponent, "sim", cfg.movement,
                                bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total,
                                trial_seed, trial))
-            events.append(f"{0.0:.9f}\ttrial-begin\t{trial}\t-1\n")
+            events.append(EventRecord(0.0, "trial-begin", trial, -1).to_line() + "\n")
             events.append(log.to_text())
             n_events += 1 + len(log)
             detect.append(bd.t_detect)
@@ -173,33 +173,32 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _scenario_lines(cfg: RunConfig, name: str) -> list[str]:
+def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
+    """One profile under the config, as both the single-profile and the
+    `all` output report it."""
     profile = profile_from_name(name, cfg.limited_rho, cfg.limited_lambda)
-    verdict = evaluate_scenario(profile, cfg.masses, cfg.params,
-                                model3_exponent=cfg.model3_exponent,
-                                arch=cfg.arch, grid_resolution=cfg.grid_resolution)
-    lines = []
-    for v in verdict.per_mass:
-        totals = [v.breakdowns[m].t_total for m in ("model1", "model2", "model3")]
-        lines.append(",".join([profile.name, _fmt(v.mass), v.winner,
-                               *(_fmt(t) for t in totals), _fmt(v.model3_exponent)]))
-    lines.append(",".join([profile.name, "overall", verdict.overall_winner,
-                           "-", "-", "-", "-"]))
-    return lines
+    return evaluate_scenario(profile, cfg.masses, cfg.params,
+                             model3_exponent=cfg.model3_exponent,
+                             arch=cfg.arch, grid_resolution=cfg.grid_resolution)
 
 
 def _cmd_scenario(args) -> int:
     cfg = _load_config(args)
     if args.profile == "all":
-        table = scenario_table(cfg.params, cfg.masses, cfg.limited_rho, cfg.limited_lambda,
-                               cfg.arch, cfg.grid_resolution)
+        table = [(name, _scenario_verdict(cfg, name).overall_winner) for name in PROFILE_NAMES]
         lines = ["profile,winner"] + [f"{name},{winner}" for name, winner in table]
         for name, winner in table:
             print(f"{name}: {winner}")
     else:
+        verdict = _scenario_verdict(cfg, args.profile)
         lines = ["profile,M,winner,model1_total,model2_total,model3_total,model3_exponent"]
-        lines += _scenario_lines(cfg, args.profile)
-        print(f"{args.profile}: {lines[-1].split(',')[2]}")
+        for v in verdict.per_mass:
+            totals = [v.breakdowns[m].t_total for m in ("model1", "model2", "model3")]
+            lines.append(",".join([args.profile, _fmt(v.mass), v.winner,
+                                   *(_fmt(t) for t in totals), _fmt(v.model3_exponent)]))
+        lines.append(",".join([args.profile, "overall", verdict.overall_winner,
+                               "-", "-", "-", "-"]))
+        print(f"{args.profile}: {verdict.overall_winner}")
     Path(cfg.output).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     return 0
 

@@ -39,9 +39,11 @@ _EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
 # about 144 MB at d = 3.
 MAX_HUBS = 2_000_000
 
-# Random-walk steps are drawn in blocks growing from the first size to the cap.
+# Random-walk steps are drawn in blocks growing from the first size to the cap;
+# a walk not absorbed within the step limit raises WalkLimitError.
 _WALK_BLOCK = 64
 _WALK_BLOCK_CAP = 1024
+_WALK_MAX_STEPS = 1_000_000
 
 
 class SimulationInvariantError(RuntimeError):
@@ -128,13 +130,10 @@ class SimWorld:
         log._columns = columns
         return log
 
-    def cell_widths(self) -> np.ndarray:
-        return self.extent / np.asarray(self.grid_shape, dtype=float)
-
     def region_of(self, point: np.ndarray) -> int:
         """Flat region index containing `point`; points on a shared boundary
         resolve to the lowest index."""
-        widths = self.cell_widths()
+        widths = self.extent / np.asarray(self.grid_shape, dtype=float)
         flat = 0
         for axis, cells in enumerate(self.grid_shape):
             x = point[axis]
@@ -228,7 +227,7 @@ def _fold(x: np.ndarray, extent: float) -> np.ndarray:
 
 
 def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
-                        step_length: float, max_steps: int = 1_000_000) -> int:
+                        step_length: float) -> int:
     """Steps until a fixed-length random walk enters the absorption radius
     (one step length) around the hub; reflects off domain walls.
 
@@ -239,8 +238,8 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
     rng, d, extent = world.rng, world.arch.dimension, world.extent
     free = start.copy()  # free (unfolded) position, kept within [0, 2 * extent)
     taken, block = 0, _WALK_BLOCK
-    while taken < max_steps - 1:
-        n = min(block, max_steps - 1 - taken)
+    while taken < _WALK_MAX_STEPS - 1:
+        n = min(block, _WALK_MAX_STEPS - 1 - taken)
         if d == 1:
             steps = np.where(rng.random((n, 1)) < 0.5, 1.0, -1.0)
         else:
@@ -261,7 +260,7 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
         block = min(2 * block, _WALK_BLOCK_CAP)
     raise WalkLimitError(
         f"random walk with step length {step_length:g} was not absorbed within "
-        f"{max_steps} steps in a domain of extent {extent:g}; use a longer walk step"
+        f"{_WALK_MAX_STEPS} steps in a domain of extent {extent:g}; use a longer walk step"
     )
 
 
@@ -315,14 +314,15 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     if k == 0:
         return 0.0, world.drain(start_seq)
 
-    # distances from whole-cell offsets, with each row's squared axis terms
-    # summed in sorted order, so peers at equal distance get bit-equal keys
-    # and the stable sort orders them by index
-    widths = world.cell_widths()
-    delta = np.rint((world.centers - world.centers[world.infected_hub]) / widths) * widths
-    squared = np.sort(delta * delta, axis=1).sum(axis=1)
-    order = np.argsort(squared, kind="stable")
-    peers = order[order != world.infected_hub][:k]
+    # squared center distances in units of (extent / n)^2: whole-cell offsets
+    # times n // s_k are integers, so peers at equal distance get equal keys
+    # and the stable sort orders them by index; a key is < 3 n^2 <= 1.2e13,
+    # exact in int64, and the infected hub's own key is the only zero
+    shape = np.asarray(world.grid_shape)
+    cells = np.indices(world.grid_shape, dtype=np.int64).reshape(len(shape), -1).T
+    scaled = (cells - cells[world.infected_hub]) * (len(cells) // shape)
+    order = np.argsort((scaled * scaled).sum(axis=1), kind="stable")
+    peers = order[1:k + 1]
     rank = np.arange(1, len(peers) + 1)
     if params.recruitment_composition == "parallel":
         # doubling-tree wave of the rank-th contact: ceil(log2(rank + 1)),

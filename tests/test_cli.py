@@ -3,6 +3,7 @@
 import pytest
 
 from detnet.cli import CSV_HEADER, CsvRow, dispatch, write_csv
+from detnet.scenarios import PROFILE_NAMES
 
 
 def run(tmp_path, text):
@@ -169,6 +170,22 @@ def test_scenario_all_profiles_summary(tmp_path):
         "unlimited-limited,model2\n"
         "limited-limited,model3\n"
     )
+
+
+def test_scenario_all_agrees_with_each_profile_run(tmp_path):
+    # a pinned model 3 exponent must reach the summary table too; with 0.95
+    # the unlimited-unlimited verdict is model1, not the optimised tie
+    cfg = run(tmp_path, f"model3_exponent = 0.95\noutput = {tmp_path / 'scen.csv'}\n")
+    assert dispatch(["scenario", "--profile", "all", "--config", cfg]) == 0
+    table = (tmp_path / "scen.csv").read_text().splitlines()[1:]
+    overall = []
+    for name in PROFILE_NAMES:
+        assert dispatch(["scenario", "--profile", name, "--config", cfg]) == 0
+        last = (tmp_path / "scen.csv").read_text().splitlines()[-1]
+        assert last.startswith(f"{name},overall,")
+        overall.append(f"{name},{last.split(',')[2]}")
+    assert table == overall
+    assert table[0] == "unlimited-unlimited,model1"
 
 
 def test_scenario_rejects_unknown_profile():

@@ -19,20 +19,20 @@ GOLDEN = {
     "zero-latency": (
         "masses = 64 128\nexponent = 1\ncontact_latency = 0\ntrials = 2\nseed = 3\n",
         "2f850101629179727b69067e0fb77f1884d93179096406d41077987ac2ac8542",
-        "0d9b2e62c998722b226811d29a73ec6044ea7535698b1b2fbf79d0eaff65499f",
+        "c072163b7a03927a2712e103c2ee384a3277afeeac82537a3230dbf173208dfe",
         408,
     ),
     "parallel": (
         "masses = 1000\nexponent = 1\nrecruitment_composition = parallel\n"
         "trials = 2\nseed = 5\n",
         "306e35f3da6fd09bdcf61b1ac10120d13ccbe3a9224e0951b5111a0e9488095d",
-        "e3a24a61a0bf8eb45983c951efd0dd7f5adff2fe14f340def5e27596795aedc5",
+        "fa261699c15b5a8a866882da78f990f61bc7fb39c728bdb854cd7f38763e0164",
         2012,
     ),
     "dimension-3": (
         "masses = 512\nexponent = 1\ndimension = 3\ntrials = 2\nseed = 7\n",
         "9699d14621265a8903ecab8c6f67a29855453c1ad3a70bb08ecf137db0ff423e",
-        "b85d0dc8fb27954d29f6a04dabe0a845b95930db6943f3d60c7a492157eddf90",
+        "cb76178a55eeebaee0d05dbbc86530b783b2afccb9e48167b8cdccf5816c41e6",
         1036,
     ),
     "random-walk": (

@@ -329,32 +329,49 @@ def test_recruitment_zero_when_local_pool_suffices():
 
 
 def test_recruitment_contacts_by_distance_then_index():
-    world = _run_through_recruitment(256.0, 0.5)
-    _, log = run_recruitment(world)
-    origin = world.centers[world.infected_hub]
-    keys = []
-    for r in log:
-        if r.kind == "contact-complete":
-            peer = world.centers[r.subject]
-            keys.append((round(float(np.linalg.norm(peer - origin)), 9), r.subject))
-    assert keys == sorted(keys)
+    # M = 100 tiles as 10 x 10 cells of width sqrt(5): (3, 4) and (5, 0)
+    # cells away tie
+    volume5 = ModelParams(body_volume_coefficient=5.0)
+    for M, a, params in [(256.0, 0.5, None), (100.0, 1.0, volume5)]:
+        world = _run_through_recruitment(M, a, params=params)
+        _, log = run_recruitment(world)
+        origin = world.centers[world.infected_hub]
+        keys = []
+        for r in log:
+            if r.kind == "contact-complete":
+                peer = world.centers[r.subject]
+                keys.append((round(float(np.linalg.norm(peer - origin)), 9), r.subject))
+        assert len(keys) == len(world.centers) - 1
+        assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("M", [128.0, 2048.0])
-def test_equidistant_peers_contacted_in_index_order(M):
-    # a = 0.5 tiles M = 128 as 11 x 1 and M = 2048 as 9 x 5; exact squared
-    # distances in units of the extent come from whole-cell offsets
-    spec, p = arch(a=0.5), ModelParams()
-    shape = build_world(M, spec, p, seed=0).grid_shape
-    assert shape[0] != shape[-1]
+@pytest.mark.parametrize("M, a, d, volume, shape, stride", [
+    (128.0, 0.5, 2, 1.0, (11, 1), 1),
+    (2048.0, 0.5, 2, 1.0, (9, 5), 1),
+    # Pythagorean ties, not only permuted offsets: (3, 4) against (5, 0)
+    # cells away where cells are square, (5, 0) against (3, 2) where they are
+    # twice as long on one axis (16 x 8); 14 to 19 hubs are infected in turn
+    (128.0, 1.0, 2, 1.0, (16, 8), 7),
+    (512.0, 1.0, 3, 1.0, (8, 8, 8), 37),
+    (1000.0, 1.0, 2, 1.0, (40, 25), 67),
+    (100.0, 1.0, 2, 5.0, (10, 10), 7),
+], ids=["128.0", "2048.0", "128.0-16x8", "512.0-8x8x8", "1000.0-40x25", "100.0-10x10-volume5"])
+def test_equidistant_peers_contacted_in_index_order(M, a, d, volume, shape, stride):
+    spec, p = arch(a=a, d=d), ModelParams(body_volume_coefficient=volume)
+    assert build_world(M, spec, p, seed=0).grid_shape == shape
     cells = list(np.ndindex(*shape))
-    for infected in range(len(cells)):
+    exact = {}  # squared distance in units of the extent, by whole-cell offset
+    for infected in range(0, len(cells), stride):
         world = build_world(M, spec, p, seed=0)
         spawn_infection(world, site=world.centers[infected])
         run_detection(world)
         _, log = run_recruitment(world)
-        keys = [(sum(Fraction(a - b, n) ** 2 for a, b, n in
-                     zip(cells[r.subject], cells[infected], shape)), r.subject) for r in log]
+        keys = []
+        for r in log:
+            offset = tuple(x - y for x, y in zip(cells[r.subject], cells[infected]))
+            if offset not in exact:
+                exact[offset] = sum(Fraction(o, n) ** 2 for o, n in zip(offset, shape))
+            keys.append((exact[offset], r.subject))
         assert len(keys) == recruitment_demand(M, spec, p) == len(cells) - 1
         assert keys == sorted(keys)
 
