@@ -21,7 +21,13 @@ from detnet.scaling import (
     sweep,
     total_response_time,
 )
-from detnet.scenarios import PROFILE_NAMES, ScenarioVerdict, evaluate_scenario, profile_from_name
+from detnet.scenarios import (
+    PROFILE_NAMES,
+    ScenarioVerdict,
+    evaluate_scenario,
+    profile_from_name,
+    scenario_table,
+)
 from detnet.sim import EventRecord, simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
@@ -174,8 +180,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
-    """One profile under the config, as both the single-profile and the
-    `all` output report it."""
+    """One profile under the config, as the single-profile output reports it."""
     profile = profile_from_name(name, cfg.limited_rho, cfg.limited_lambda)
     return evaluate_scenario(profile, cfg.masses, cfg.params,
                              model3_exponent=cfg.model3_exponent,
@@ -185,7 +190,9 @@ def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
 def _cmd_scenario(args) -> int:
     cfg = _load_config(args)
     if args.profile == "all":
-        table = [(name, _scenario_verdict(cfg, name).overall_winner) for name in PROFILE_NAMES]
+        table = scenario_table(cfg.params, cfg.masses, cfg.limited_rho, cfg.limited_lambda,
+                               cfg.arch, cfg.grid_resolution,
+                               model3_exponent=cfg.model3_exponent)
         lines = ["profile,winner"] + [f"{name},{winner}" for name, winner in table]
         for name, winner in table:
             print(f"{name}: {winner}")

@@ -18,6 +18,7 @@ responders double every `doubling_time` until the output target is met).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -393,8 +394,8 @@ def total_response_time(M: float, arch: ArchitectureSpec, params: ModelParams,
 # optimizer and sweeps
 # ---------------------------------------------------------------------------
 
-def exponent_grid(resolution: float) -> list[float]:
-    """Exponent grid {0, resolution, 2*resolution, ..., 1}.
+def exponent_grid(resolution: float) -> np.ndarray:
+    """Exponent grid {0, resolution, 2*resolution, ..., 1}, as a float64 array.
 
     When 1/resolution is integral the points are computed as i/n so both
     endpoints are exact; otherwise the last step is clamped and 1.0 appended.
@@ -410,7 +411,8 @@ def exponent_grid(resolution: float) -> list[float]:
         )
     n = round(1.0 / resolution)
     if n >= 1 and abs(n * resolution - 1.0) < 1e-9:
-        return [i / n for i in range(n + 1)]
+        # one correctly rounded division of exact integers each, as i / n
+        return np.arange(n + 1) / n
     grid = []
     a = 0.0
     i = 0
@@ -419,11 +421,61 @@ def exponent_grid(resolution: float) -> list[float]:
         i += 1
         a = min(i * resolution, 1.0)
     grid.append(1.0)
-    return grid
+    return np.array(grid)
 
 
-def _per_element(func, *args):
-    return np.fromiter(map(func, *args), dtype=float)
+# Elements the libm memo retains, about 128 KB of float64: the distinct
+# arrays of a few optimizer calls at grid step 1e-3 (1001 points each).
+_MEMO_BUDGET = 2 ** 14
+
+
+class _ElementMemo:
+    """`func` over its operands element by element through libm, memoised on
+    the exact input bits.
+
+    Each operand is a float64 array or a scalar repeated alongside it. The
+    key is the function and every operand's shape and bytes, so a hit is the
+    same libm call on the same bits (0.0 and -0.0 are different keys), and
+    every result is read-only. Results are retained oldest-first up to
+    `budget` elements; a larger call is evaluated but neither keyed nor
+    retained, and a call that raises retains nothing.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.retained = 0
+        self._results = {}
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._results.clear()
+            self.retained = 0
+
+    def __call__(self, func, *operands) -> np.ndarray:
+        operands = [np.asarray(x, dtype=float) for x in operands]
+        size = max(x.size for x in operands)
+        key = None
+        if size <= self.budget:
+            key = (func, *((x.shape, x.tobytes()) for x in operands))
+            with self._lock:
+                result = self._results.get(key)
+            if result is not None:
+                return result
+        result = np.fromiter(map(func, *(x.tolist() if x.ndim else repeat(x.item())
+                                         for x in operands)), dtype=float)
+        result.flags.writeable = False
+        if key is not None:
+            with self._lock:
+                if key not in self._results:
+                    while self.retained + size > self.budget:
+                        self.retained -= self._results.pop(next(iter(self._results))).size
+                    self._results[key] = result
+                    self.retained += size
+        return result
+
+
+_per_element = _ElementMemo(_MEMO_BUDGET)
 
 
 def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,
@@ -436,7 +488,9 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
     refuses. The IEEE-exact operations (+ - * /, ceil, rint, minimum,
     where) run on whole arrays in the scalar path's order; every pow and
     log2 runs per element through libm, as Python float `**` and
-    math.log2, because numpy's SIMD pow and log2 can differ in the last bit.
+    math.log2, because numpy's SIMD pow and log2 can differ in the last bit;
+    `_per_element` memoises those on their exact input bits, so calls that
+    share (M, grid) or an expansion ratio evaluate them once.
     Python's min/max keep their first argument unless the second compares
     strictly better, which `where` reproduces.
     """
@@ -451,13 +505,13 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
     # a point the scalar path refuses is refused below with its message,
     # not reported as a numpy warning on the way there
     with np.errstate(all="ignore"):
-        continuous = arch.base_hub_count * _per_element(pow, repeat(M), a.tolist())
+        continuous = arch.base_hub_count * _per_element(pow, M, a)
         ok = np.isfinite(continuous)  # False wherever the scalar path may refuse
         local = params.cognate_frequency * (
-            arch.base_hub_size * _per_element(pow, repeat(M), (1.0 - a).tolist()))
+            arch.base_hub_size * _per_element(pow, M, 1.0 - a))
         if mode == "spatial":
             volume = params.body_volume_coefficient * M / continuous
-            extent = _per_element(pow, volume.tolist(), repeat(1.0 / arch.dimension))
+            extent = _per_element(pow, volume, 1.0 / arch.dimension)
             t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
         else:
             t_detect = params.contention_coefficient * M / continuous
@@ -473,7 +527,7 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
                 # k + 1 as min(peers + 1, rounded): one rounding, as the
                 # scalar path's exact integer k + 1 gets, also beyond 2**53
                 k_plus_1 = np.where(deficit <= 0.0, 1.0, np.minimum(peers + 1.0, rounded))
-                t_recruit = params.contact_latency * _per_element(math.log2, k_plus_1.tolist())
+                t_recruit = params.contact_latency * _per_element(math.log2, k_plus_1)
             else:
                 t_recruit = params.contact_latency * k
             recruited = local + k * local
@@ -487,7 +541,7 @@ def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: st
         for i in np.flatnonzero(~ok):
             # the scalar path raises its own error at the first point it refuses
             total_response_time(M, arch.with_exponent(exponents[i]), params, mode)
-        t_expand = params.doubling_time * _per_element(math.log2, (target / pool).tolist())
+        t_expand = params.doubling_time * _per_element(math.log2, target / pool)
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
         t_total = t_detect + t_recruit + t_expand
     return t_detect, t_recruit, t_expand, t_total
@@ -509,8 +563,8 @@ def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
     grid = exponent_grid(grid_resolution)
     t_detect, t_recruit, t_expand, t_total = _grid_phases(M, arch, params, mode, grid)
     best = int(np.argmin(t_total))
-    return grid[best], TimingBreakdown(float(t_detect[best]), float(t_recruit[best]),
-                                       float(t_expand[best]))
+    return float(grid[best]), TimingBreakdown(float(t_detect[best]), float(t_recruit[best]),
+                                              float(t_expand[best]))
 
 
 def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",

@@ -168,12 +168,14 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
 def scenario_table(params: ModelParams, M_list,
                    limited_rho: float = 0.1, limited_lambda: float = 0.1,
                    arch: ArchitectureSpec | None = None,
-                   grid_resolution: float = 0.01) -> list[tuple[str, str]]:
-    """Overall winner per regime, one row per profile in canonical order."""
+                   grid_resolution: float = 0.01,
+                   model3_exponent: float | None = None) -> list[tuple[str, str]]:
+    """Overall winner per regime, one row per profile in canonical order;
+    model3_exponent as in `evaluate_scenario`."""
     rows = []
     for name in PROFILE_NAMES:
         profile = profile_from_name(name, limited_rho, limited_lambda)
-        verdict = evaluate_scenario(profile, M_list, params,
+        verdict = evaluate_scenario(profile, M_list, params, model3_exponent=model3_exponent,
                                     arch=arch, grid_resolution=grid_resolution)
         rows.append((name, verdict.overall_winner))
     return rows

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,9 +33,20 @@ from detnet.scaling import (
     recruitment_time,
     sweep,
     total_response_time,
+    _ElementMemo,
+    _MEMO_BUDGET,
     _grid_phases,
+    _per_element,
 )
 from detnet.scenarios import PROFILE_NAMES, profile_from_name
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    # every test starts from an empty libm memo, whatever ran before it
+    _per_element.clear()
+    yield
+    _per_element.clear()
 
 
 def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
@@ -608,9 +621,49 @@ def test_grid_kernel_matches_scalar_path_bit_for_bit(name, mode):
     for base in KERNEL_ARCHS:
         for M in KERNEL_MASSES:
             phases = _grid_phases(M, base, params, mode, grid)
-            for i, a in enumerate(grid):
+            for i, a in enumerate(grid.tolist()):
                 assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
                     (M, a, base)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
+    params, grid = KERNEL_PARAMS[name], exponent_grid(0.02)
+    for mode in ("spatial", "contention"):
+        for base in KERNEL_ARCHS:
+            for M in KERNEL_MASSES:
+                _grid_phases(M, base, params, mode, grid)
+    assert _per_element.retained > 0
+    # the same matrix again, masses reversed and modes interleaved, so that
+    # hits and fresh evaluations mix
+    for base in KERNEL_ARCHS:
+        for M in reversed(KERNEL_MASSES):
+            for mode in ("contention", "spatial"):
+                phases = _grid_phases(M, base, params, mode, grid)
+                for i, a in enumerate(grid.tolist()):
+                    assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
+                        (M, a, base, mode)
+
+
+def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
+    p = ModelParams(recruitment_composition="parallel")
+    masses, exponents = [3.0, 100.0, 2.5e4], [0.0, 0.25, 1 / 3, 0.5, 1.0]
+    designs = [(mode, d) for mode in ("spatial", "contention") for d in (1, 3)]
+
+    def results():
+        for mode, d in designs:
+            for M in masses:
+                a, bd = optimal_exponent(M, p, mode, 1e-3, arch(d=d))
+                yield bits(a, bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+            for M, a, bd in sweep(masses, exponents, p, mode, arch(d=d)):
+                yield bits(M, a, bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+
+    cold = []
+    for row in results():
+        cold.append(row)
+        _per_element.clear()
+    for _ in range(2):
+        assert list(results()) == cold
 
 
 def test_grid_kernel_keeps_the_scalar_errors():
@@ -642,8 +695,10 @@ def test_grid_kernel_keeps_the_scalar_errors():
         with pytest.raises(ValueError) as scalar:
             for a in exponents:
                 total_response_time(M, base.with_exponent(a), params, mode)
-        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-            _grid_phases(M, base, params, mode, exponents)
+        # an array grid, as the optimizer passes, is refused the same way
+        for grid in (exponents, np.array(exponents)):
+            with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+                _grid_phases(M, base, params, mode, grid)
 
 
 def test_grid_kernel_keeps_points_the_scalar_path_accepts():
@@ -692,3 +747,105 @@ def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, compositio
 
     scalar = outcome(lambda: [scalar_bits(M, base, params, mode, x) for x in exponents])
     assert outcome(kernel_rows) == scalar
+
+
+# ---------------------------------------------------------------------------
+# libm memo
+# ---------------------------------------------------------------------------
+
+def test_memo_keys_tell_apart_function_operands_and_signed_zero():
+    x = np.array([0.5, 2.0, 3.0])
+    calls = [
+        ((pow, 2.0, x), [2.0 ** v for v in x.tolist()]),
+        ((pow, 3.0, x), [3.0 ** v for v in x.tolist()]),
+        ((pow, x, 2.0), [v ** 2.0 for v in x.tolist()]),
+        ((pow, x, 3.0), [v ** 3.0 for v in x.tolist()]),
+        ((math.log2, x), [math.log2(v) for v in x.tolist()]),
+        ((math.log10, x), [math.log10(v) for v in x.tolist()]),
+        ((math.copysign, 1.0, np.array([0.0])), [1.0]),
+        ((math.copysign, 1.0, np.array([-0.0])), [-1.0]),
+        ((math.copysign, np.array([1.0]), 0.0), [1.0]),
+        ((math.copysign, np.array([1.0]), -0.0), [-1.0]),
+    ]
+    for _ in range(2):  # the second round is all hits
+        for call, expected in calls:
+            assert bits(*_per_element(*call)) == bits(*expected), call
+    assert _per_element.retained == 6 * 3 + 4 * 1
+
+
+def test_memo_results_are_read_only_and_shared():
+    x = np.array([1.0, 2.0])
+    first = _per_element(pow, 10.0, x)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert _per_element(pow, 10.0, x.copy()) is first
+
+
+def test_memo_retains_at_most_its_budget_oldest_first():
+    grid = exponent_grid(1e-3)
+    assert grid.size * 2 <= _MEMO_BUDGET
+    calls = [(pow, float(M), grid) for M in range(2, 40)]
+    results = []
+    for call in calls:
+        results.append(_per_element(*call))
+        assert 0 < _per_element.retained <= _MEMO_BUDGET
+    kept = _MEMO_BUDGET // grid.size
+    assert _per_element.retained == kept * grid.size
+    assert _per_element(*calls[-1]) is results[-1]
+    assert _per_element(*calls[-kept]) is results[-kept]
+    assert _per_element(*calls[0]) is not results[0]
+    for M in 10.0 ** np.arange(0.0, 8.0, 0.25):
+        for mode in ("spatial", "contention"):
+            optimal_exponent(float(M), ModelParams(recruitment_composition="parallel"), mode,
+                             1e-3)
+            assert _per_element.retained <= _MEMO_BUDGET
+
+
+def test_memo_retains_nothing_from_a_max_grid_evaluation():
+    grid = exponent_grid(1e-6)
+    assert grid.size == MAX_GRID_POINTS
+    a, _ = optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)
+    assert _per_element.retained == 0
+    assert a == optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)[0]
+
+
+def test_memo_retains_nothing_from_a_call_that_raises():
+    with pytest.raises(ValueError, match="math domain error"):
+        _per_element(math.log2, np.array([2.0, 0.0]))
+    with pytest.raises(OverflowError):
+        _per_element(pow, 10.0, np.array([1.0, 400.0]))
+    assert _per_element.retained == 0
+    # the refusal is raised again, not answered from the memo
+    with pytest.raises(ValueError, match="math domain error"):
+        _per_element(math.log2, np.array([2.0, 0.0]))
+
+
+def test_memo_stays_consistent_under_concurrent_callers():
+    memo = _ElementMemo(budget=64)
+    inputs = [np.linspace(0.0, 1.0, n) for n in range(1, 41)]
+    expected = [[3.0 ** v for v in x.tolist()] for x in inputs]
+    failures = []
+
+    def worker(offset):
+        try:
+            for step in range(300):
+                i = (offset * 7 + step * 13) % len(inputs)
+                if memo(pow, 3.0, inputs[i]).tolist() != expected[i]:
+                    failures.append(i)
+        except Exception as exc:  # surfaced by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert memo.retained == sum(r.size for r in memo._results.values()) <= memo.budget
