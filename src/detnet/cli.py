@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=1)  # parse_args returns a fresh Namespace, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="detnet",
                      description="Scaling laws and simulation for hierarchical "

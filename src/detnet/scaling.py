@@ -575,13 +575,13 @@ def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
     Returns one row per pair in deterministic order, M-major then a-minor;
     each mass is one pass over a_list.
     """
-    if not M_list or not a_list:
+    if len(M_list) == 0 or len(a_list) == 0:  # lists or arrays
         raise ValueError("M_list and a_list must be non-empty")
     if arch is None:
         arch = ArchitectureSpec()
     rows = []
     for M in M_list:
         t_detect, t_recruit, t_expand, _ = _grid_phases(M, arch, params, mode, a_list)
-        rows.extend((M, a, TimingBreakdown(*phases)) for a, *phases in
+        rows.extend((float(M), float(a), TimingBreakdown(*phases)) for a, *phases in
                     zip(a_list, t_detect.tolist(), t_recruit.tolist(), t_expand.tolist()))
     return rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +36,8 @@ __all__ = ["EventRecord", "EventLog", "SimWorld", "SimulationInvariantError", "W
 EVENT_TIME_DIGITS = 9
 _EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
 
-# Largest world build_world accepts: three (n, d) float64 coordinate arrays,
-# about 144 MB at d = 3.
+# Largest world build_world accepts: three (n, d) float64 coordinate arrays
+# and the (n, d) int64 lattice, about 192 MB at d = 3.
 MAX_HUBS = 2_000_000
 
 # Random-walk steps are drawn in blocks growing from the first size to the cap;
@@ -90,12 +91,9 @@ class EventLog:
         return (_EVENT_LINE + "\n") * n % tuple(fields)
 
 
-@dataclass
-class SimWorld:
-    mass: float
-    arch: ArchitectureSpec
-    params: ModelParams
-    seed: int
+class _Layout(NamedTuple):
+    """The tiling of one world: a pure function of (M, arch, c_v), built
+    once and shared, with read-only arrays, by every world of that key."""
     extent: float
     grid_shape: tuple[int, ...]
     # one row per hub, in flat region order: the hub at the region center and
@@ -103,7 +101,19 @@ class SimWorld:
     centers: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    cells: np.ndarray  # int64 grid index of each hub
+    stride: np.ndarray  # n // s_k: one cell along axis k in units of extent / n
+    widths: np.ndarray  # region width along each axis
     hub_size: float
+
+
+@dataclass
+class SimWorld:
+    mass: float
+    arch: ArchitectureSpec
+    params: ModelParams
+    seed: int
+    layout: _Layout
     # one row per detector: its (k, d) position and the hub it reports to
     detector_positions: np.ndarray
     detector_hubs: np.ndarray
@@ -113,6 +123,13 @@ class SimWorld:
     pool: float | None = None
     # event columns (time, kind, subject, hub); an event's index is its sequence number
     _events: tuple[list, ...] = field(default_factory=lambda: ([], [], [], []))
+
+    extent = property(attrgetter("layout.extent"))
+    grid_shape = property(attrgetter("layout.grid_shape"))
+    centers = property(attrgetter("layout.centers"))
+    lower = property(attrgetter("layout.lower"))
+    upper = property(attrgetter("layout.upper"))
+    hub_size = property(attrgetter("layout.hub_size"))
 
     def schedule(self, times: list, kind: str, subjects, hubs) -> None:
         """Append one event per entry of `times`, `subjects` and `hubs`, in order."""
@@ -133,15 +150,15 @@ class SimWorld:
     def region_of(self, point: np.ndarray) -> int:
         """Flat region index containing `point`; points on a shared boundary
         resolve to the lowest index."""
-        widths = self.extent / np.asarray(self.grid_shape, dtype=float)
+        layout = self.layout
         flat = 0
-        for axis, cells in enumerate(self.grid_shape):
+        for axis, cells in enumerate(layout.grid_shape):
             x = point[axis]
-            if not 0.0 <= x <= self.extent:
+            if not 0.0 <= x <= layout.extent:
                 raise SimulationInvariantError(
-                    f"point {point} lies outside the domain [0, {self.extent}]^d"
+                    f"point {point} lies outside the domain [0, {layout.extent}]^d"
                 )
-            idx = min(max(math.ceil(x / widths[axis]) - 1, 0), cells - 1)
+            idx = min(max(math.ceil(x / layout.widths[axis]) - 1, 0), cells - 1)
             flat = flat * cells + idx
         return flat
 
@@ -166,33 +183,40 @@ def _grid_shape(n: int, dimension: int) -> tuple[int, ...]:
     return min(shapes, key=lambda shape: (shape[0] / shape[-1], shape))
 
 
-def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int) -> SimWorld:
-    """Tile a d-cube of volume c_v * M into the rounded hub count of equal
-    regions and place one hub of size S(M) at each region center."""
-    check_feasible(arch, params)
+@lru_cache(maxsize=1)  # trials of one world run back to back; holds one world
+def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) -> _Layout:
     _, rounded = hub_count(M, arch)
     d = arch.dimension
-    if rounded > MAX_HUBS:
+    if rounded > MAX_HUBS:  # raised before allocating, and never cached
         raise ValueError(
             f"world of {rounded} hubs exceeds the simulator's limit of {MAX_HUBS} hubs "
-            f"(its hub arrays would need about {3 * 8 * d * rounded / 1e6:.0f} MB)"
+            f"(its hub arrays would need about {4 * 8 * d * rounded / 1e6:.0f} MB)"
         )
-    extent = (params.body_volume_coefficient * M) ** (1.0 / d)
+    # floats whatever the caller's scalar types, so a memo hit returns what a build would
+    extent = float((body_volume_coefficient * M) ** (1.0 / d))
     shape = _grid_shape(rounded, d)
     widths = extent / np.asarray(shape, dtype=float)
-    idx = np.indices(shape, dtype=float).reshape(d, -1).T  # row i: grid index of hub i
-    lower = idx * widths
+    cells = np.indices(shape, dtype=np.int64).reshape(d, -1).T  # row i: grid index of hub i
+    lower = cells * widths
+    arrays = (lower + widths / 2.0, lower, (cells + 1.0) * widths, cells,
+              rounded // np.asarray(shape), widths)
+    for array in arrays:
+        array.flags.writeable = False
+    return _Layout(extent, shape, *arrays, float(hub_size(M, arch)))
+
+
+def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int) -> SimWorld:
+    """Tile a d-cube of volume c_v * M into the rounded hub count of equal
+    regions and place one hub of size S(M) at each region center. The tiling
+    is shared, read-only, with the last world built for the same (M, arch, c_v)."""
+    check_feasible(arch, params)
+    d = arch.dimension
     return SimWorld(
         mass=M,
         arch=arch,
         params=params,
         seed=seed,
-        extent=extent,
-        grid_shape=shape,
-        centers=lower + widths / 2.0,
-        lower=lower,
-        upper=(idx + 1.0) * widths,
-        hub_size=hub_size(M, arch),
+        layout=_layout(M, arch, params.body_volume_coefficient),
         detector_positions=np.empty((0, d)),
         detector_hubs=np.empty(0, dtype=np.int64),
         rng=np.random.default_rng(seed),
@@ -209,11 +233,13 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     site = np.asarray(site, dtype=float)
     if site.shape != (world.arch.dimension,):
         raise ValueError(f"site must have {world.arch.dimension} coordinates, got {site.shape}")
-    if not np.all((site >= 0.0) & (site <= world.extent)):  # NaN fails too
-        raise ValueError(f"site {site} outside the domain [0, {world.extent}]^d")
+    extent = world.extent
+    if not all(0.0 <= x <= extent for x in site.tolist()):  # NaN fails too
+        raise ValueError(f"site {site} outside the domain [0, {extent}]^d")
     hub_id = world.region_of(site)
     first = len(world.detector_hubs)  # a detector's ident is its row
-    world.detector_positions = np.concatenate((world.detector_positions, [site] * n_detectors))
+    world.detector_positions = np.concatenate(
+        (world.detector_positions, site[None, :].repeat(n_detectors, axis=0)))
     world.detector_hubs = np.concatenate((world.detector_hubs, [hub_id] * n_detectors))
     world.schedule([world.clock] * n_detectors, "spawn", range(first, first + n_detectors),
                    [hub_id] * n_detectors)
@@ -264,11 +290,10 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
     )
 
 
-def run_detection(world: SimWorld, movement: str = "straight",
-                  step_length: float = 0.1) -> tuple[float, EventLog]:
-    """Move every spawned detector to its hub; detection completes at the
-    first arrival. Straight mode travels the exact distance at detector speed;
-    random-walk mode takes fixed-length steps in uniform directions."""
+# Each phase's body schedules its events and returns its duration; the public
+# phase drains what it scheduled, and simulate drains once, at the end.
+
+def _detect(world: SimWorld, movement: str, step_length: float) -> float:
     if not len(world.detector_hubs):
         raise SimulationInvariantError("run_detection called before spawn_infection")
     if world.infected_hub is not None:
@@ -278,7 +303,6 @@ def run_detection(world: SimWorld, movement: str = "straight",
     if movement == "random_walk" and not step_length > 0.0:
         raise ValueError(f"step_length must be > 0, got {step_length}")
 
-    start_seq = len(world._events[0])
     start_time = world.clock
     v = world.params.detector_speed
     hubs = world.detector_hubs.tolist()
@@ -296,31 +320,35 @@ def run_detection(world: SimWorld, movement: str = "straight",
     first = arrivals.index(min(arrivals))  # the first detector among equal arrivals
     world.infected_hub = hubs[first]
     world.clock = arrivals[first]
-    return world.clock - start_time, world.drain(start_seq)
+    return world.clock - start_time
 
 
-def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
-    """Contact peer hubs in order of increasing center distance (ties by
-    index) until the critical responder demand is covered; the empirical
-    contact count is the shared analytic demand formula."""
+def run_detection(world: SimWorld, movement: str = "straight",
+                  step_length: float = 0.1) -> tuple[float, EventLog]:
+    """Move every spawned detector to its hub; detection completes at the
+    first arrival. Straight mode travels the exact distance at detector speed;
+    random-walk mode takes fixed-length steps in uniform directions."""
+    start_seq = len(world._events[0])
+    return _detect(world, movement, step_length), world.drain(start_seq)
+
+
+def _recruit(world: SimWorld) -> float:
     if world.infected_hub is None:
         raise SimulationInvariantError("run_recruitment called before detection completed")
     params = world.params
-    start_seq = len(world._events[0])
     start_time = world.clock
 
     world.pool = activated_pool(world.mass, world.arch, params)
     k = recruitment_demand(world.mass, world.arch, params) if params.recruitment_enabled else 0
     if k == 0:
-        return 0.0, world.drain(start_seq)
+        return 0.0
 
     # squared center distances in units of (extent / n)^2: whole-cell offsets
     # times n // s_k are integers, so peers at equal distance get equal keys
     # and the stable sort orders them by index; a key is < 3 n^2 <= 1.2e13,
     # exact in int64, and the infected hub's own key is the only zero
-    shape = np.asarray(world.grid_shape)
-    cells = np.indices(world.grid_shape, dtype=np.int64).reshape(len(shape), -1).T
-    scaled = (cells - cells[world.infected_hub]) * (len(cells) // shape)
+    cells = world.layout.cells
+    scaled = (cells - cells[world.infected_hub]) * world.layout.stride
     order = np.argsort((scaled * scaled).sum(axis=1), kind="stable")
     peers = order[1:k + 1]
     rank = np.arange(1, len(peers) + 1)
@@ -338,16 +366,21 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     duration = float(offset.max())
 
     world.clock = start_time + duration
-    return duration, world.drain(start_seq)
+    return duration
 
 
-def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
-    """Double the activated pool once per doubling period until its output
-    meets the target; the tick count is the ceiling of the analytic time."""
+def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
+    """Contact peer hubs in order of increasing center distance (ties by
+    index) until the critical responder demand is covered; the empirical
+    contact count is the shared analytic demand formula."""
+    start_seq = len(world._events[0])
+    return _recruit(world), world.drain(start_seq)
+
+
+def _expand(world: SimWorld) -> float:
     if world.pool is None:
         raise SimulationInvariantError("run_expansion called before recruitment completed")
     params = world.params
-    start_seq = len(world._events[0])
     start_time = world.clock
     target = antibody_requirement(world.mass, params)
     population = world.pool
@@ -361,7 +394,14 @@ def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
                    "doubling-tick", range(1, ticks + 1), [world.infected_hub] * ticks)
     duration = ticks * params.doubling_time
     world.clock = start_time + duration
-    return duration, world.drain(start_seq)
+    return duration
+
+
+def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
+    """Double the activated pool once per doubling period until its output
+    meets the target; the tick count is the ceiling of the analytic time."""
+    start_seq = len(world._events[0])
+    return _expand(world), world.drain(start_seq)
 
 
 def simulate(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int,
@@ -371,7 +411,6 @@ def simulate(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int,
     plus the full time-ordered event log."""
     world = build_world(M, arch, params, seed)
     spawn_infection(world, site, n_detectors)
-    t_detect, _ = run_detection(world, movement, step_length)
-    t_recruit, _ = run_recruitment(world)
-    t_expand, _ = run_expansion(world)
-    return TimingBreakdown(t_detect, t_recruit, t_expand), world.drain(0)
+    breakdown = TimingBreakdown(_detect(world, movement, step_length), _recruit(world),
+                                _expand(world))
+    return breakdown, world.drain(0)

@@ -1,8 +1,14 @@
 """Tests for command dispatch, CSV output, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from detnet.cli import CSV_HEADER, CsvRow, dispatch, write_csv
+import detnet
+from detnet.cli import CSV_HEADER, CsvRow, _build_parser, dispatch, write_csv
 from detnet.scenarios import PROFILE_NAMES
 
 
@@ -281,3 +287,37 @@ def test_simulate_refuses_nan_site(tmp_path, capsys):
     assert dispatch(["simulate", "--config", cfg]) == 1
     assert "outside the domain" in one_line_error(capsys)
     assert list(tmp_path.glob("sim.csv*")) == []
+
+
+def test_one_process_dispatches_like_fresh_processes(tmp_path, capsys):
+    # dispatch reuses one parser; each command must behave as in a new process
+    out = tmp_path / "sim.csv"
+    cfg = run(tmp_path, f"masses = 1 16\ntrials = 2\noutput = {out}\n")
+    commands = [
+        ["analyze", "--mass", "256", "--exponent", "0.5"],
+        ["simulate", "--config", cfg, "--trials", "two"],
+        ["simulate", "--config", cfg],
+        ["analyze", "--mass", "256", "--exponent", "0.5"],
+    ]
+
+    def files():
+        return [p.read_bytes() for p in (out, Path(f"{out}.events")) if p.exists()]
+
+    in_process = []
+    for argv in commands:
+        status = dispatch(argv)
+        captured = capsys.readouterr()
+        in_process.append((status, captured.out, captured.err, files()))
+    assert _build_parser() is _build_parser()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(detnet.__file__).parents[1]))
+    for f in tmp_path.glob("sim.csv*"):
+        f.unlink()
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "detnet.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, files()))
+    assert in_process == fresh
+    assert [status for status, *_ in fresh] == [0, 1, 0, 0]
+    assert fresh[1][2] == "error: argument --trials: invalid int value: 'two'\n"

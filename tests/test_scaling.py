@@ -591,6 +591,22 @@ def test_sweep_table():
         sweep([], [0.5], p)
 
 
+def test_sweep_takes_arrays_and_returns_python_floats():
+    p, masses, grid = ModelParams(), [10.0, 100.0], exponent_grid(0.25)
+    from_lists = sweep(masses, grid.tolist(), p)
+    from_arrays = sweep(np.array(masses), grid, p)
+    one_point = sweep([10.0], np.array([0.5]), p)
+    assert from_arrays == from_lists
+    assert one_point == sweep([10.0], [0.5], p)
+    for M, a, _ in from_lists + from_arrays + one_point:
+        assert type(M) is float and type(a) is float
+    for empty in (np.array([]), []):
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep(empty, grid, p)
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep(masses, empty, p)
+
+
 # ---------------------------------------------------------------------------
 # one-pass grid kernel against the scalar path, bit for bit
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from detnet.scaling import (
     ArchitectureSpec,
+    InfeasibleParametersError,
     ModelParams,
+    TimingBreakdown,
     dr_extent,
     expansion_time,
     hub_count,
@@ -24,6 +26,7 @@ from detnet.sim import (
     SimulationInvariantError,
     WalkLimitError,
     _fold,
+    _layout,
     build_world,
     run_detection,
     run_expansion,
@@ -103,6 +106,63 @@ def test_region_of_rejects_outside_points():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     with pytest.raises(SimulationInvariantError):
         world.region_of(np.array([2.0, 0.5]))
+
+
+def test_world_geometry_is_read_only():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    for name in ("centers", "lower", "upper"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(world, name)[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(world, name, np.zeros((4, 2)))
+    assert world.centers.tolist() == [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]]
+
+
+def test_worlds_of_one_layout_share_no_mutable_state():
+    first = build_world(16.0, arch(), ModelParams(), seed=1)
+    second = build_world(16.0, arch(), ModelParams(), seed=2)
+    assert second.layout is first.layout
+    spawn_infection(first, n_detectors=2)
+    run_detection(first)
+    assert second.detector_positions.shape == (0, 2) and len(second.detector_hubs) == 0
+    assert second.infected_hub is None and second.clock == 0.0 and len(second.drain(0)) == 0
+    assert all(a is not b for a, b in zip(first._events, second._events))
+    assert second.rng is not first.rng
+    spawn_infection(second, n_detectors=2)
+    assert not np.shares_memory(first.detector_positions, second.detector_positions)
+    assert not np.shares_memory(first.detector_hubs, second.detector_hubs)
+
+
+@pytest.mark.parametrize("spec, params", [
+    (arch(), ModelParams(body_volume_coefficient=4.0)),
+    (arch(n0=2.0), ModelParams()),
+    (arch(s0=2.0e6), ModelParams()),
+    (arch(d=3), ModelParams()),
+    (arch(d=1), ModelParams()),
+])
+def test_layout_memo_keys_on_everything_the_tiling_reads(spec, params):
+    M = 64.0
+    base = build_world(M, arch(), ModelParams(), seed=1)
+    world = build_world(M, spec, params, seed=1)  # right after base: a memo hit if keyed wrongly
+    rounded = hub_count(M, spec)[1]
+    assert world.layout is not base.layout
+    assert world.extent == (params.body_volume_coefficient * M) ** (1.0 / spec.dimension)
+    assert len(world.grid_shape) == spec.dimension and math.prod(world.grid_shape) == rounded
+    for array in (world.centers, world.lower, world.upper):
+        assert array.shape == (rounded, spec.dimension)
+    assert world.hub_size == spec.base_hub_size * M ** (1.0 - spec.exponent)
+
+
+def test_refusals_run_on_every_call_and_are_never_cached():
+    small = build_world(1.0, arch(), ModelParams(), seed=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="100000000 hubs"):
+            build_world(1e8, arch(a=1.0), ModelParams(), seed=1)
+        # the cached layout does not spare a world from the feasibility check
+        with pytest.raises(InfeasibleParametersError):
+            build_world(1.0, arch(), ModelParams(bcrit_coefficient=5.0), seed=1)
+    # neither refusal evicted the cached layout
+    assert build_world(1.0, arch(), ModelParams(), seed=2).layout is small.layout
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +499,44 @@ def test_discrete_expansion_brackets_analytic_value():
 def test_simulate_components_sum():
     bd, _ = simulate(256.0, arch(), ModelParams(), seed=5)
     assert bd.t_total == bd.t_detect + bd.t_recruit + bd.t_expand
+
+
+def _phase_by_phase(M, spec, params, seed, n_detectors, movement):
+    world = build_world(M, spec, params, seed)
+    spawn_infection(world, None, n_detectors)
+    t_detect, _ = run_detection(world, movement, 0.2)
+    t_recruit, _ = run_recruitment(world)
+    t_expand, _ = run_expansion(world)
+    return TimingBreakdown(t_detect, t_recruit, t_expand), world.drain(0)
+
+
+@pytest.mark.parametrize("composition", ["serial", "parallel"])
+@pytest.mark.parametrize("n_detectors", [1, 4])
+@pytest.mark.parametrize("movement", ["straight", "random_walk"])
+def test_simulate_is_its_phases_composed(movement, n_detectors, composition):
+    params = ModelParams(recruitment_composition=composition)
+    # (M, arch, seed): the first and last share a layout, the middle one does not
+    cases = [(16.0, arch(a=0.5), 3), (9.0, arch(a=1.0), 4), (16.0, arch(a=0.5), 5)]
+
+    runs = {
+        "simulate": lambda M, spec, seed: simulate(M, spec, params, seed, n_detectors=n_detectors,
+                                                   movement=movement, step_length=0.2),
+        "phases": lambda M, spec, seed: _phase_by_phase(M, spec, params, seed, n_detectors,
+                                                        movement),
+    }
+    seen = set()  # (path, whether its build hit the layout memo)
+    _layout.cache_clear()
+    for order in (("simulate", "phases"), ("phases", "simulate")):
+        for case in cases:
+            out = {}
+            for path in order:
+                hits = _layout.cache_info().hits
+                out[path] = runs[path](*case)
+                seen.add((path, _layout.cache_info().hits > hits))
+            assert out["simulate"] == out["phases"]
+            assert out["simulate"][1].to_text() == out["phases"][1].to_text()
+            assert out["simulate"][1].to_text().count("\tspawn\t") == n_detectors
+    assert seen == {(path, hit) for path in runs for hit in (False, True)}
 
 
 def test_simulate_deterministic_for_seed():
