@@ -64,7 +64,7 @@ class RunConfig:
             ("trials", self.trials >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
             ("detectors", self.detectors >= 1, ">= 1"),
-            ("walk_step", self.walk_step > 0.0, "> 0"),
+            ("walk_step", 0.0 < self.walk_step < math.inf, "finite and > 0"),
             ("grid_resolution", 0.0 < self.grid_resolution <= 1.0, "in (0, 1]"),
             ("limited_rho", self.limited_rho > 0.0, "> 0"),
             ("limited_lambda", self.limited_lambda > 0.0, "> 0"),

@@ -18,8 +18,8 @@ responders double every `doubling_time` until the output target is met).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -189,7 +189,7 @@ class TimingBreakdown:
 
     def __post_init__(self):
         for name in ("t_detect", "t_recruit", "t_expand"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         total = self.t_detect + self.t_recruit + self.t_expand
         if self.t_total is None:
@@ -398,7 +398,8 @@ def exponent_grid(resolution: float) -> np.ndarray:
     """Exponent grid {0, resolution, 2*resolution, ..., 1}, as a float64 array.
 
     When 1/resolution is integral the points are computed as i/n so both
-    endpoints are exact; otherwise the last step is clamped and 1.0 appended.
+    endpoints are exact; otherwise the points i*resolution below 1 are kept and
+    1.0 appended.
     A resolution finer than 1e-6 (more than MAX_GRID_POINTS points) is
     refused before the grid is built.
     """
@@ -413,69 +414,43 @@ def exponent_grid(resolution: float) -> np.ndarray:
     if n >= 1 and abs(n * resolution - 1.0) < 1e-9:
         # one correctly rounded division of exact integers each, as i / n
         return np.arange(n + 1) / n
-    grid = []
-    a = 0.0
-    i = 0
-    while a < 1.0:
-        grid.append(a)
-        i += 1
-        a = min(i * resolution, 1.0)
-    grid.append(1.0)
-    return np.array(grid)
+    # 0 is prepended, not computed: 0 * inf is NaN
+    steps = np.arange(1, math.floor(1.0 / resolution) + 2) * resolution
+    return np.concatenate(([0.0], steps[steps < 1.0], [1.0]))
 
 
-# Elements the libm memo retains, about 128 KB of float64: the distinct
-# arrays of a few optimizer calls at grid step 1e-3 (1001 points each).
+# Largest operand the libm memo keys and keeps: 2**14 float64 (128 KB), a
+# grid at step 1e-3 with room to spare; a grid at step 1e-6 is never kept.
 _MEMO_BUDGET = 2 ** 14
 
 
-class _ElementMemo:
+def _libm(func, *operands) -> np.ndarray:
+    # each operand is a float64 array or a scalar repeated alongside it
+    result = np.fromiter(map(func, *(x.tolist() if x.ndim else repeat(x.item())
+                                     for x in operands)), dtype=float)
+    result.flags.writeable = False
+    return result
+
+
+@lru_cache(maxsize=16)
+def _memoised(func, *keys) -> np.ndarray:
+    return _libm(func, *(np.frombuffer(data).reshape(shape) for shape, data in keys))
+
+
+def _per_element(func, *operands) -> np.ndarray:
     """`func` over its operands element by element through libm, memoised on
     the exact input bits.
 
-    Each operand is a float64 array or a scalar repeated alongside it. The
-    key is the function and every operand's shape and bytes, so a hit is the
-    same libm call on the same bits (0.0 and -0.0 are different keys), and
-    every result is read-only. Results are retained oldest-first up to
-    `budget` elements; a larger call is evaluated but neither keyed nor
-    retained, and a call that raises retains nothing.
+    The key is the function and every operand's shape and bytes, so a hit is
+    the same libm call on the same bits (0.0 and -0.0 are different keys),
+    and every result is read-only. The 16 most recently used results are
+    kept; a call with an operand over `_MEMO_BUDGET` elements is evaluated
+    but not kept, and a call that raises keeps nothing.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.retained = 0
-        self._results = {}
-        self._lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._results.clear()
-            self.retained = 0
-
-    def __call__(self, func, *operands) -> np.ndarray:
-        operands = [np.asarray(x, dtype=float) for x in operands]
-        size = max(x.size for x in operands)
-        key = None
-        if size <= self.budget:
-            key = (func, *((x.shape, x.tobytes()) for x in operands))
-            with self._lock:
-                result = self._results.get(key)
-            if result is not None:
-                return result
-        result = np.fromiter(map(func, *(x.tolist() if x.ndim else repeat(x.item())
-                                         for x in operands)), dtype=float)
-        result.flags.writeable = False
-        if key is not None:
-            with self._lock:
-                if key not in self._results:
-                    while self.retained + size > self.budget:
-                        self.retained -= self._results.pop(next(iter(self._results))).size
-                    self._results[key] = result
-                    self.retained += size
-        return result
-
-
-_per_element = _ElementMemo(_MEMO_BUDGET)
+    operands = [np.asarray(x, dtype=float) for x in operands]
+    if max(x.size for x in operands) > _MEMO_BUDGET:
+        return _libm(func, *operands)
+    return _memoised(func, *((x.shape, x.tobytes()) for x in operands))
 
 
 def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,

@@ -140,7 +140,7 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
     contact latency. model3_exponent None means the sub-modular exponent is
     optimized per mass; a float pins it for reproducible fixtures.
     """
-    if not M_list:
+    if len(M_list) == 0:  # lists or arrays
         raise ValueError("M_list must be non-empty")
     if arch is None:
         arch = ArchitectureSpec()
@@ -159,7 +159,7 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
             bd3 = total_response_time(M, arch.with_exponent(a3), effective, "contention")
         breakdowns["model3"] = bd3
         winner = _pick_winner({name: bd.t_total for name, bd in breakdowns.items()})
-        per_mass.append(MassVerdict(M, winner, breakdowns, a3))
+        per_mass.append(MassVerdict(float(M), winner, breakdowns, float(a3)))
 
     overall = _overall([v.winner for v in per_mass])
     return ScenarioVerdict(profile, tuple(per_mass), overall)

@@ -300,8 +300,8 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
         raise SimulationInvariantError("run_detection called after detection completed")
     if movement not in ("straight", "random_walk"):
         raise ValueError(f"unknown movement {movement!r}; expected 'straight' or 'random_walk'")
-    if movement == "random_walk" and not step_length > 0.0:
-        raise ValueError(f"step_length must be > 0, got {step_length}")
+    if movement == "random_walk" and not 0.0 < step_length < math.inf:
+        raise ValueError(f"step_length must be finite and > 0, got {step_length}")
 
     start_time = world.clock
     v = world.params.detector_speed

@@ -256,6 +256,16 @@ def test_simulate_walk_step_limit_exit_code_1(tmp_path, capsys):
     assert "not absorbed within 1000000 steps" in one_line_error(capsys)
 
 
+def test_simulate_refuses_an_infinite_walk_step(tmp_path, capsys):
+    # an infinite step would arrive after 0 steps of length inf, a NaN time
+    cfg = run(tmp_path, "masses = 16\nmovement = random_walk\nwalk_step = inf\n"
+                        f"output = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("config error: line 3: key 'walk_step': "
+                                       "walk_step must be finite and > 0, got inf\n")
+    assert list(tmp_path.glob("sim.csv*")) == []
+
+
 @pytest.mark.parametrize("mass, exponent, config, message", [
     ("1e-322", "0", "cognate_frequency = 1e-9\nbase_hub_count = 1000\n", "underflows to 0.0"),
     ("1e10", "1", "base_hub_count = 1e300\n", "hub count n0*M^a = inf"),

@@ -51,7 +51,7 @@ BAD_VALUES = {
     "seed": ["-1", "x"],
     "output": [""],
     "detectors": ["0", "-3"],
-    "walk_step": ["0", "-1", "nan"],
+    "walk_step": ["0", "-1", "nan", "inf"],
     "grid_resolution": ["0", "1.5", "nan"],
     "limited_rho": ["0", "nan"],
     "limited_lambda": ["0", "nan"],

@@ -33,20 +33,12 @@ from detnet.scaling import (
     recruitment_time,
     sweep,
     total_response_time,
-    _ElementMemo,
     _MEMO_BUDGET,
     _grid_phases,
+    _memoised,
     _per_element,
 )
-from detnet.scenarios import PROFILE_NAMES, profile_from_name
-
-
-@pytest.fixture(autouse=True)
-def cold_memo():
-    # every test starts from an empty libm memo, whatever ran before it
-    _per_element.clear()
-    yield
-    _per_element.clear()
+from detnet.scenarios import PROFILE_NAMES, profile_from_name, scenario_table
 
 
 def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
@@ -75,19 +67,24 @@ def monte_carlo_center_distance(dimension, samples, seed):
     return float(dists.mean()), float(dists.std(ddof=1) / math.sqrt(samples))
 
 
-def brute_force_optimum(M, params, mode, resolution, base):
-    """Exhaustive scan over the documented exponent grid, ties to smaller a."""
+def reference_grid(resolution):
+    """The documented exponent grid, point by point."""
     n = round(1.0 / resolution)
     if n >= 1 and abs(n * resolution - 1.0) < 1e-9:
-        grid = [i / n for i in range(n + 1)]
-    else:
-        grid = []
-        a, i = 0.0, 0
-        while a < 1.0:
-            grid.append(a)
-            i += 1
-            a = min(i * resolution, 1.0)
-        grid.append(1.0)
+        return [i / n for i in range(n + 1)]
+    grid = []
+    a, i = 0.0, 0
+    while a < 1.0:
+        grid.append(a)
+        i += 1
+        a = min(i * resolution, 1.0)
+    grid.append(1.0)
+    return grid
+
+
+def brute_force_optimum(M, params, mode, resolution, base):
+    """Exhaustive scan over the documented exponent grid, ties to smaller a."""
+    grid = reference_grid(resolution)
     totals = [total_response_time(M, base.with_exponent(a), params, mode) for a in grid]
     best = 0
     for i in range(1, len(grid)):
@@ -172,6 +169,9 @@ def test_timing_breakdown_sums_exactly():
     assert bd.t_total == 0.1 + 0.2 + 0.3
     with pytest.raises(ValueError):
         TimingBreakdown(-0.1, 0.0, 0.0)
+    for nan_at in range(3):
+        with pytest.raises(ValueError, match="must be >= 0, got nan"):
+            TimingBreakdown(*(math.nan if i == nan_at else 0.0 for i in range(3)))
     with pytest.raises(ValueError):
         TimingBreakdown(0.1, 0.2, 0.3, t_total=0.7)
 
@@ -526,6 +526,12 @@ def test_exponent_grid_contains_endpoints():
     assert len(exponent_grid(0.05)) == 21
 
 
+@pytest.mark.parametrize("resolution", [0.03, 0.3, 0.7, 1 / 3, 0.013, 0.0037, 7.3e-5, 0.02,
+                                        1.5, 1e308, math.inf])
+def test_exponent_grid_matches_the_reference_loop(resolution):
+    assert bits(*exponent_grid(resolution)) == bits(*reference_grid(resolution))
+
+
 def test_exponent_grid_refuses_oversized_grid():
     assert len(exponent_grid(1e-6)) == MAX_GRID_POINTS
     with pytest.raises(ValueError, match=r"1e-12 .*1000001 points"):
@@ -649,7 +655,8 @@ def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
         for base in KERNEL_ARCHS:
             for M in KERNEL_MASSES:
                 _grid_phases(M, base, params, mode, grid)
-    assert _per_element.retained > 0
+    warm = _memoised.cache_info()
+    assert warm.currsize > 0
     # the same matrix again, masses reversed and modes interleaved, so that
     # hits and fresh evaluations mix
     for base in KERNEL_ARCHS:
@@ -659,6 +666,7 @@ def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
                 for i, a in enumerate(grid.tolist()):
                     assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
                         (M, a, base, mode)
+    assert _memoised.cache_info().hits > warm.hits
 
 
 def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
@@ -677,7 +685,7 @@ def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
     cold = []
     for row in results():
         cold.append(row)
-        _per_element.clear()
+        _memoised.cache_clear()
     for _ in range(2):
         assert list(results()) == cold
 
@@ -786,7 +794,8 @@ def test_memo_keys_tell_apart_function_operands_and_signed_zero():
     for _ in range(2):  # the second round is all hits
         for call, expected in calls:
             assert bits(*_per_element(*call)) == bits(*expected), call
-    assert _per_element.retained == 6 * 3 + 4 * 1
+    info = _memoised.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(calls), len(calls), len(calls))
 
 
 def test_memo_results_are_read_only_and_shared():
@@ -796,33 +805,48 @@ def test_memo_results_are_read_only_and_shared():
     with pytest.raises(ValueError):
         first[0] = 0.0
     assert _per_element(pow, 10.0, x.copy()) is first
+    # an operand too large to keep is evaluated the same way, read-only too
+    big = np.resize(x, _MEMO_BUDGET + 1)
+    assert not _per_element(pow, 10.0, big).flags.writeable
 
 
 def test_memo_retains_at_most_its_budget_oldest_first():
+    # the budget: the 16 most recently used results, each call's operands
+    # at most _MEMO_BUDGET elements; the least recently used goes first
     grid = exponent_grid(1e-3)
-    assert grid.size * 2 <= _MEMO_BUDGET
     calls = [(pow, float(M), grid) for M in range(2, 40)]
-    results = []
-    for call in calls:
-        results.append(_per_element(*call))
-        assert 0 < _per_element.retained <= _MEMO_BUDGET
-    kept = _MEMO_BUDGET // grid.size
-    assert _per_element.retained == kept * grid.size
-    assert _per_element(*calls[-1]) is results[-1]
-    assert _per_element(*calls[-kept]) is results[-kept]
-    assert _per_element(*calls[0]) is not results[0]
+    results = [_per_element(*call) for call in calls]
+    info = _memoised.cache_info()
+    assert info.maxsize == info.currsize == 16
+    # the 16 most recent are hits; the one before them was evicted
+    for call, result in zip(calls[-16:], results[-16:]):
+        assert _per_element(*call) is result
+    assert _per_element(*calls[-17]) is not results[-17]
+    # an operand of _MEMO_BUDGET elements is kept, one element more is not:
+    # at most 16 results of up to 2**14 float64 each, 2 MiB
+    for size, kept in ((_MEMO_BUDGET, True), (_MEMO_BUDGET + 1, False)):
+        x = np.linspace(0.0, 1.0, size)
+        assert (_per_element(pow, 3.0, x) is _per_element(pow, 3.0, x)) is kept
     for M in 10.0 ** np.arange(0.0, 8.0, 0.25):
         for mode in ("spatial", "contention"):
             optimal_exponent(float(M), ModelParams(recruitment_composition="parallel"), mode,
                              1e-3)
-            assert _per_element.retained <= _MEMO_BUDGET
+            assert _memoised.cache_info().currsize <= 16
+
+
+def test_memo_holds_scenario_tables_working_set():
+    # profiles in the outer loop, masses in the inner one: the 5 default
+    # masses' 15 arrays fit, so only the first profile misses
+    masses, info = [1.0, 10.0, 100.0, 1000.0, 10000.0], _memoised.cache_info
+    scenario_table(ModelParams(), masses, grid_resolution=5e-4)
+    assert (info().misses, info().hits) == (15, 45)
 
 
 def test_memo_retains_nothing_from_a_max_grid_evaluation():
     grid = exponent_grid(1e-6)
     assert grid.size == MAX_GRID_POINTS
     a, _ = optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)
-    assert _per_element.retained == 0
+    assert _memoised.cache_info().currsize == 0
     assert a == optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)[0]
 
 
@@ -831,14 +855,14 @@ def test_memo_retains_nothing_from_a_call_that_raises():
         _per_element(math.log2, np.array([2.0, 0.0]))
     with pytest.raises(OverflowError):
         _per_element(pow, 10.0, np.array([1.0, 400.0]))
-    assert _per_element.retained == 0
+    assert _memoised.cache_info().currsize == 0
     # the refusal is raised again, not answered from the memo
     with pytest.raises(ValueError, match="math domain error"):
         _per_element(math.log2, np.array([2.0, 0.0]))
 
 
 def test_memo_stays_consistent_under_concurrent_callers():
-    memo = _ElementMemo(budget=64)
+    # 40 distinct inputs through 16 entries: hits, misses and evictions race
     inputs = [np.linspace(0.0, 1.0, n) for n in range(1, 41)]
     expected = [[3.0 ** v for v in x.tolist()] for x in inputs]
     failures = []
@@ -847,7 +871,8 @@ def test_memo_stays_consistent_under_concurrent_callers():
         try:
             for step in range(300):
                 i = (offset * 7 + step * 13) % len(inputs)
-                if memo(pow, 3.0, inputs[i]).tolist() != expected[i]:
+                result = _per_element(pow, 3.0, inputs[i])
+                if result.tolist() != expected[i] or result.flags.writeable:
                     failures.append(i)
         except Exception as exc:  # surfaced by the assertion below
             failures.append(exc)
@@ -864,4 +889,5 @@ def test_memo_stays_consistent_under_concurrent_callers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert memo.retained == sum(r.size for r in memo._results.values()) <= memo.budget
+    info = _memoised.cache_info()
+    assert info.currsize <= info.maxsize and info.hits > 0

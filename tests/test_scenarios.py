@@ -1,5 +1,6 @@
 """Tests for the bandwidth-regime harness and architecture rankings."""
 
+import numpy as np
 import pytest
 
 from detnet.scaling import ArchitectureSpec, ModelParams
@@ -140,6 +141,21 @@ def test_rank_monotone_in_channel_costs():
 def test_scenario_rejects_empty_mass_list():
     with pytest.raises(ValueError):
         evaluate_scenario(profile_from_name("limited-limited"), [], ModelParams())
+
+
+def test_scenarios_take_arrays_and_return_python_floats():
+    p, profile = ModelParams(), profile_from_name("limited-limited")
+    for pinned in (None, 0.5, np.float64(0.5)):
+        from_list = evaluate_scenario(profile, MASSES, p, model3_exponent=pinned)
+        for masses in (np.array(MASSES), np.array(MASSES[:1])):
+            from_array = evaluate_scenario(profile, masses, p, model3_exponent=pinned)
+            assert from_array.per_mass == from_list.per_mass[:len(masses)]
+            for v in from_array.per_mass:
+                assert type(v.mass) is float and type(v.model3_exponent) is float
+        assert scenario_table(p, np.array(MASSES), model3_exponent=pinned) == \
+            scenario_table(p, MASSES, model3_exponent=pinned)
+    with pytest.raises(ValueError, match="non-empty"):
+        evaluate_scenario(profile, np.array([]), p)
 
 
 def test_custom_architecture_base():

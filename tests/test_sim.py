@@ -330,6 +330,20 @@ def test_run_detection_validates_movement():
         run_detection(world, movement="hop")
 
 
+def test_run_detection_refuses_a_non_finite_walk_step():
+    # every start lies within one infinite step of its hub: 0 steps of length
+    # inf would be a NaN arrival time
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    spawn_infection(world)
+    scheduled = len(world.drain(0))
+    for step in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="step_length must be finite and > 0"):
+            run_detection(world, "random_walk", step)
+    assert len(world.drain(0)) == scheduled
+    t, _ = run_detection(world, "random_walk", 0.2)
+    assert math.isfinite(t) and t >= 0.0
+
+
 def test_run_detection_needs_a_spawn_and_runs_once():
     world = build_world(16.0, arch(), ModelParams(), seed=1)
     with pytest.raises(SimulationInvariantError, match="before spawn_infection"):
