@@ -34,6 +34,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "mean_center_distance",
     "antibody_requirement",
+    "output_target",
     "hub_count",
     "hub_size",
     "dr_extent",
@@ -255,6 +256,16 @@ def antibody_requirement(M: float, params: ModelParams) -> float:
     return params.antibody_coefficient * M
 
 
+def output_target(M: float, params: ModelParams) -> float:
+    """Activated responders' output target at mass M, antibody_requirement over
+    plasma_yield; a target that overflows is refused."""
+    target = antibody_requirement(M, params) / params.plasma_yield
+    if not math.isfinite(target):
+        raise ValueError(f"output target antibody_coefficient*M/plasma_yield = {target} "
+                         f"is not finite at M={M}")
+    return target
+
+
 def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
     """Hub count at mass M, as (continuous, rounded) pair.
 
@@ -385,8 +396,7 @@ def total_response_time(M: float, arch: ArchitectureSpec, params: ModelParams,
     t_detect = detection_time(M, arch, params, mode)
     t_recruit = recruitment_time(M, arch, params)
     pool = activated_pool(M, arch, params)
-    target = antibody_requirement(M, params) / params.plasma_yield
-    t_expand = expansion_time(pool, target, params.doubling_time)
+    t_expand = expansion_time(pool, output_target(M, params), params.doubling_time)
     return TimingBreakdown(t_detect, t_recruit, t_expand)
 
 
@@ -419,107 +429,102 @@ def exponent_grid(resolution: float) -> np.ndarray:
     return np.concatenate(([0.0], steps[steps < 1.0], [1.0]))
 
 
-# Largest operand the libm memo keys and keeps: 2**14 float64 (128 KB), a
-# grid at step 1e-3 with room to spare; a grid at step 1e-6 is never kept.
+# Largest exponent grid whose terms `optimal_exponent` caches: 2**14 points,
+# a grid at step 1e-4 with room to spare; a grid at step 1e-6 is never kept.
 _MEMO_BUDGET = 2 ** 14
 
 
 def _libm(func, *operands) -> np.ndarray:
-    # each operand is a float64 array or a scalar repeated alongside it
-    result = np.fromiter(map(func, *(x.tolist() if x.ndim else repeat(x.item())
-                                     for x in operands)), dtype=float)
-    result.flags.writeable = False
-    return result
+    # func per element through libm; each operand is an array or a scalar
+    return np.fromiter(map(func, *(x.tolist() if isinstance(x, np.ndarray) else repeat(float(x))
+                                   for x in operands)), dtype=float)
 
 
-@lru_cache(maxsize=16)
-def _memoised(func, *keys) -> np.ndarray:
-    return _libm(func, *(np.frombuffer(data).reshape(shape) for shape, data in keys))
+def _grid_terms(M, a, n0, s0, f, bcrit, antibody, plasma_yield, doubling_time, recruits,
+                composition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of `total_response_time` that no detection input reads, as
+    read-only arrays over the float64 grid `a`: a, the continuous hub count,
+    the recruitment units (k, or log2(k + 1) in parallel) and t_expand.
 
-
-def _per_element(func, *operands) -> np.ndarray:
-    """`func` over its operands element by element through libm, memoised on
-    the exact input bits.
-
-    The key is the function and every operand's shape and bytes, so a hit is
-    the same libm call on the same bits (0.0 and -0.0 are different keys),
-    and every result is read-only. The 16 most recently used results are
-    kept; a call with an operand over `_MEMO_BUDGET` elements is evaluated
-    but not kept, and a call that raises keeps nothing.
+    Exact operations (+ - * /, ceil, rint, minimum, where) run on whole
+    arrays in the scalar path's order; pow and log2 run per element through
+    libm, as Python does, since numpy's SIMD ones can differ in the last bit.
+    `where` keeps Python min/max's first argument unless the second is better.
     """
-    operands = [np.asarray(x, dtype=float) for x in operands]
-    if max(x.size for x in operands) > _MEMO_BUDGET:
-        return _libm(func, *operands)
-    return _memoised(func, *((x.shape, x.tobytes()) for x in operands))
-
-
-def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,
-                 exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`total_response_time` at every exponent in one pass.
-
-    Returns (t_detect, t_recruit, t_expand, t_total) as arrays, equal bit for
-    bit to the scalar path at each exponent (`arch`'s own exponent is
-    ignored), or raises the scalar path's error at the first exponent it
-    refuses. The IEEE-exact operations (+ - * /, ceil, rint, minimum,
-    where) run on whole arrays in the scalar path's order; every pow and
-    log2 runs per element through libm, as Python float `**` and
-    math.log2, because numpy's SIMD pow and log2 can differ in the last bit;
-    `_per_element` memoises those on their exact input bits, so calls that
-    share (M, grid) or an expansion ratio evaluate them once.
-    Python's min/max keep their first argument unless the second compares
-    strictly better, which `where` reproduces.
-    """
-    a = np.array(exponents, dtype=float)
-    out_of_range = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
-    if out_of_range.size:
-        arch.with_exponent(exponents[out_of_range[0]])  # raises the spec's range error
-    _require_positive_mass(M)
-    check_feasible(arch, params)
-    _require_mode(mode)
-
-    # a point the scalar path refuses is refused below with its message,
-    # not reported as a numpy warning on the way there
-    with np.errstate(all="ignore"):
-        continuous = arch.base_hub_count * _per_element(pow, M, a)
+    with np.errstate(all="ignore"):  # a refused point raises its scalar error below
+        continuous = n0 * _libm(pow, M, a)
         ok = np.isfinite(continuous)  # False wherever the scalar path may refuse
-        local = params.cognate_frequency * (
-            arch.base_hub_size * _per_element(pow, M, 1.0 - a))
-        if mode == "spatial":
-            volume = params.body_volume_coefficient * M / continuous
-            extent = _per_element(pow, volume, 1.0 / arch.dimension)
-            t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
-        else:
-            t_detect = params.contention_coefficient * M / continuous
-
-        needed = params.bcrit_coefficient * M
-        if params.recruitment_enabled:
+        local = f * (s0 * _libm(pow, M, 1.0 - a))
+        needed = bcrit * M
+        if recruits:
             deficit = needed - local
             peers = np.ceil(deficit / local)
             ok &= np.isfinite(peers)
             rounded = np.maximum(1.0, np.rint(continuous))
-            k = np.where(deficit <= 0.0, 0.0, np.minimum(peers, rounded - 1.0))
-            if params.recruitment_composition == "parallel":
+            units = k = np.where(deficit <= 0.0, 0.0, np.minimum(peers, rounded - 1.0))
+            if composition == "parallel":
                 # k + 1 as min(peers + 1, rounded): one rounding, as the
                 # scalar path's exact integer k + 1 gets, also beyond 2**53
-                k_plus_1 = np.where(deficit <= 0.0, 1.0, np.minimum(peers + 1.0, rounded))
-                t_recruit = params.contact_latency * _per_element(math.log2, k_plus_1)
-            else:
-                t_recruit = params.contact_latency * k
+                units = _libm(math.log2, np.where(deficit <= 0.0, 1.0,
+                                                  np.minimum(peers + 1.0, rounded)))
             recruited = local + k * local
             pool = np.where(recruited < needed, recruited, needed)
         else:
-            t_recruit = np.zeros_like(a)
+            units = np.zeros_like(a)
             pool = np.where(needed < local, needed, local)
-
-        target = params.antibody_coefficient * M / params.plasma_yield
-        ok &= (pool > 0.0) & (target > 0.0)
+        target = antibody * M / plasma_yield
+        ok &= (pool > 0.0) & (target > 0.0) & (target < math.inf)
         for i in np.flatnonzero(~ok):
-            # the scalar path raises its own error at the first point it refuses
-            total_response_time(M, arch.with_exponent(exponents[i]), params, mode)
-        t_expand = params.doubling_time * _per_element(math.log2, target / pool)
+            # the scalar error at the first refused point; none names a field left out
+            total_response_time(M, ArchitectureSpec(float(a[i]), n0, s0), ModelParams(
+                f, bcrit, antibody, plasma_yield, doubling_time, recruitment_composition=composition,
+                contact_latency=0.0 if recruits else RECRUITMENT_DISABLED), "contention")
+        t_expand = doubling_time * _libm(math.log2, target / pool)
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
-        t_total = t_detect + t_recruit + t_expand
-    return t_detect, t_recruit, t_expand, t_total
+    for x in (a, continuous, units, t_expand):
+        x.flags.writeable = False
+    return a, continuous, units, t_expand
+
+
+@lru_cache(maxsize=16, typed=True)  # a call that raises keeps nothing
+def _cached_terms(M, resolution, *fields):
+    return _grid_terms(M, exponent_grid(resolution), *fields)
+
+
+def _grid_pass(M, arch, params, mode, a, resolution=None):
+    # (grid, *phases) over the float64 grid a, or cached over exponent_grid(resolution)
+    _require_positive_mass(M)
+    check_feasible(arch, params)
+    _require_mode(mode)
+    # every input of the terms but M and the grid, and nothing else: the
+    # dimension, mode, rho, lambda's finite value, v and c_v stay out
+    fields = (arch.base_hub_count, arch.base_hub_size, params.cognate_frequency,
+              params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
+              params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
+    # a 0-d array as M is unhashable; its [()] is the same number
+    a, continuous, units, t_expand = _grid_terms(M, a, *fields) if a is not None else \
+        _cached_terms(M[()] if isinstance(M, np.ndarray) else M, resolution, *fields)
+    with np.errstate(all="ignore"):
+        if mode == "spatial":
+            volume = params.body_volume_coefficient * M / continuous
+            extent = _libm(pow, volume, 1.0 / arch.dimension)
+            t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
+        else:
+            t_detect = params.contention_coefficient * M / continuous
+        t_recruit = params.contact_latency * units if params.recruitment_enabled else units
+        return a, t_detect, t_recruit, t_expand, t_detect + t_recruit + t_expand
+
+
+def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,
+                 exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`total_response_time` at every exponent in one uncached pass, as arrays
+    (t_detect, t_recruit, t_expand, t_total) equal bit for bit to the scalar
+    path (`arch`'s own exponent is ignored), or the scalar path's error."""
+    a = np.array(exponents, dtype=float)
+    out_of_range = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
+    if out_of_range.size:
+        arch.with_exponent(exponents[out_of_range[0]])  # raises the spec's range error
+    return _grid_pass(M, arch, params, mode, a)[1:]
 
 
 def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
@@ -531,12 +536,16 @@ def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
     Evaluates the whole exponent grid in one pass and keeps the first
     minimum (`argmin`), so ties resolve toward the smaller exponent. `arch`
     supplies the base hub count/size and dimension (its own exponent is
-    ignored).
+    ignored). Grids of at most `_MEMO_BUDGET` points read their terms from
+    `_cached_terms`, whose hits are bit-identical to a fresh pass.
     """
     if arch is None:
         arch = ArchitectureSpec()
-    grid = exponent_grid(grid_resolution)
-    t_detect, t_recruit, t_expand, t_total = _grid_phases(M, arch, params, mode, grid)
+    # at most _MEMO_BUDGET points, by the test exponent_grid applies to MAX_GRID_POINTS
+    cached = grid_resolution > 0.0 and 1.0 / grid_resolution <= _MEMO_BUDGET - 1
+    grid, t_detect, t_recruit, t_expand, t_total = _grid_pass(
+        M, arch, params, mode, None if cached else exponent_grid(grid_resolution),
+        grid_resolution)
     best = int(np.argmin(t_total))
     return float(grid[best]), TimingBreakdown(float(t_detect[best]), float(t_recruit[best]),
                                               float(t_expand[best]))

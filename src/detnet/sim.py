@@ -26,6 +26,7 @@ from detnet.scaling import (
     check_feasible,
     hub_count,
     hub_size,
+    output_target,
     recruitment_demand,
 )
 
@@ -382,6 +383,7 @@ def _expand(world: SimWorld) -> float:
         raise SimulationInvariantError("run_expansion called before recruitment completed")
     params = world.params
     start_time = world.clock
+    output_target(world.mass, params)  # refuses a target that overflows
     target = antibody_requirement(world.mass, params)
     population = world.pool
     ticks = 0

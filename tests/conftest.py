@@ -2,12 +2,12 @@
 
 import pytest
 
-from detnet.scaling import _memoised
+from detnet.scaling import _cached_terms
 
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    # every test starts from an empty libm memo, whatever ran before it
-    _memoised.cache_clear()
+    # every test starts from an empty grid-terms cache, whatever ran before it
+    _cached_terms.cache_clear()
     yield
-    _memoised.cache_clear()
+    _cached_terms.cache_clear()

@@ -284,6 +284,23 @@ def test_seed_flag_is_validated(tmp_path, capsys, command):
     assert list(tmp_path.glob("out.csv*")) == []
 
 
+@pytest.mark.parametrize("command, config", [
+    (["analyze", "--mass", "1e308", "--exponent", "0.5"], ""),
+    (["sweep"], "masses = 1 1e308\n"),
+    (["simulate"], "masses = 1.2e307\nexponent = 0\n"),
+    (["scenario", "--profile", "all"], "masses = 1 1e308\n"),
+    (["scenario", "--profile", "limited-limited"], "masses = 1e10\nplasma_yield = 1e-300\n"
+                                                   "antibody_coefficient = 1\n"),
+])
+def test_overflowing_output_target_exits_1(tmp_path, capsys, command, config):
+    # antibody_coefficient * M / plasma_yield = inf would print t_expand = inf,
+    # or double the simulated pool until it overflows
+    cfg = run(tmp_path, config + f"output = {tmp_path / 'out.csv'}\n")
+    assert dispatch([*command, "--config", cfg]) == 1
+    assert "output target antibody_coefficient*M/plasma_yield = inf" in one_line_error(capsys)
+    assert list(tmp_path.glob("out.csv*")) == []
+
+
 def test_analyze_refuses_calibration_overflow(tmp_path, capsys):
     cfg = run(tmp_path, "doubling_time = 1e-3\n")
     assert dispatch(["analyze", "--mass", "1", "--exponent", "0.5", "--config", cfg]) == 1

@@ -29,14 +29,14 @@ from detnet.scaling import (
     local_cognate_pool,
     mean_center_distance,
     optimal_exponent,
+    output_target,
     recruitment_demand,
     recruitment_time,
     sweep,
     total_response_time,
     _MEMO_BUDGET,
+    _cached_terms,
     _grid_phases,
-    _memoised,
-    _per_element,
 )
 from detnet.scenarios import PROFILE_NAMES, profile_from_name, scenario_table
 
@@ -461,6 +461,17 @@ def test_expansion_additivity():
 # total response time
 # ---------------------------------------------------------------------------
 
+def test_output_target_refuses_overflow():
+    assert output_target(1e307, ModelParams()) == 16.0 * 1e307
+    for M, params in ((1.2e307, ModelParams()), (1e10, ModelParams(antibody_coefficient=1e300)),
+                      (1.0, ModelParams(antibody_coefficient=1.0, plasma_yield=1e-310))):
+        message = "output target antibody_coefficient*M/plasma_yield = inf is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            output_target(M, params)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            total_response_time(M, arch(a=1.0), params)
+
+
 def test_total_components_sum():
     bd = total_response_time(10.0, arch(a=0.5), ModelParams())
     assert bd.t_total == bd.t_detect + bd.t_recruit + bd.t_expand
@@ -648,25 +659,38 @@ def test_grid_kernel_matches_scalar_path_bit_for_bit(name, mode):
                     (M, a, base)
 
 
+def scalar_optimum_bits(M, base, params, mode, resolution):
+    a, bd = brute_force_optimum(M, params, mode, resolution, base)
+    return bits(a, bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+
+
+def optimum_bits(M, base, params, mode, resolution):
+    a, bd = optimal_exponent(M, params, mode, resolution, base)
+    return bits(a, bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
 def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
     params, grid = KERNEL_PARAMS[name], exponent_grid(0.02)
     for mode in ("spatial", "contention"):
         for base in KERNEL_ARCHS:
             for M in KERNEL_MASSES:
-                _grid_phases(M, base, params, mode, grid)
-    warm = _memoised.cache_info()
+                optimal_exponent(M, params, mode, 0.02, base)
+    warm = _cached_terms.cache_info()
     assert warm.currsize > 0
     # the same matrix again, masses reversed and modes interleaved, so that
-    # hits and fresh evaluations mix
+    # hits and fresh evaluations mix: the optimizer reads the cache, the
+    # uncached kernel must agree with the scalar path at every point
     for base in KERNEL_ARCHS:
         for M in reversed(KERNEL_MASSES):
             for mode in ("contention", "spatial"):
+                assert optimum_bits(M, base, params, mode, 0.02) == \
+                    scalar_optimum_bits(M, base, params, mode, 0.02), (M, base, mode)
                 phases = _grid_phases(M, base, params, mode, grid)
                 for i, a in enumerate(grid.tolist()):
                     assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
                         (M, a, base, mode)
-    assert _memoised.cache_info().hits > warm.hits
+    assert _cached_terms.cache_info().hits > warm.hits
 
 
 def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
@@ -685,7 +709,7 @@ def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
     cold = []
     for row in results():
         cold.append(row)
-        _memoised.cache_clear()
+        _cached_terms.cache_clear()
     for _ in range(2):
         assert list(results()) == cold
 
@@ -711,6 +735,10 @@ def test_grid_kernel_keeps_the_scalar_errors():
         # needed and local are both inf at a = 0: deficit/local is NaN
         (1e10, arch(s0=1e300), ModelParams(cognate_frequency=1.0, bcrit_coefficient=1e300),
          "spatial", [0.0, 1.0]),
+        # the output target overflows to inf at every point
+        (1.2e307, arch(), ModelParams(), "spatial", [0.0, 0.5, 1.0]),
+        (1e10, arch(), ModelParams(antibody_coefficient=1.0, plasma_yield=1e-300),
+         "contention", [1.0, 0.5]),
         # the output target underflows to 0 at every point: B_target must be > 0
         (1e-5, arch(), ModelParams(antibody_coefficient=5e-324, plasma_yield=1e10,
                                    contact_latency=RECRUITMENT_DISABLED), "spatial", [0.0, 1.0]),
@@ -774,105 +802,226 @@ def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, compositio
 
 
 # ---------------------------------------------------------------------------
-# libm memo
+# grid-terms cache
 # ---------------------------------------------------------------------------
 
-def test_memo_keys_tell_apart_function_operands_and_signed_zero():
-    x = np.array([0.5, 2.0, 3.0])
-    calls = [
-        ((pow, 2.0, x), [2.0 ** v for v in x.tolist()]),
-        ((pow, 3.0, x), [3.0 ** v for v in x.tolist()]),
-        ((pow, x, 2.0), [v ** 2.0 for v in x.tolist()]),
-        ((pow, x, 3.0), [v ** 3.0 for v in x.tolist()]),
-        ((math.log2, x), [math.log2(v) for v in x.tolist()]),
-        ((math.log10, x), [math.log10(v) for v in x.tolist()]),
-        ((math.copysign, 1.0, np.array([0.0])), [1.0]),
-        ((math.copysign, 1.0, np.array([-0.0])), [-1.0]),
-        ((math.copysign, np.array([1.0]), 0.0), [1.0]),
-        ((math.copysign, np.array([1.0]), -0.0), [-1.0]),
-    ]
-    for _ in range(2):  # the second round is all hits
-        for call, expected in calls:
-            assert bits(*_per_element(*call)) == bits(*expected), call
-    info = _memoised.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (len(calls), len(calls), len(calls))
+def term_fields(base, params):
+    # the cache key's fields after M and the grid resolution, in key order
+    return (base.base_hub_count, base.base_hub_size, params.cognate_frequency,
+            params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
+            params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
+
+
+# every input the cached terms read; antibody_coefficient is explicit so that
+# plasma_yield, bcrit and doubling_time can change alone
+KEY_BASE = dict(M=100.0, base=arch(), params=ModelParams(antibody_coefficient=16.0),
+                mode="spatial", resolution=0.01)
+KEY_CHANGES = {
+    "M": dict(M=101.0),
+    "n0": dict(base=arch(n0=2.0)),
+    "s0": dict(base=arch(s0=3.0e6)),
+    "cognate_frequency": dict(params=ModelParams(antibody_coefficient=16.0,
+                                                 cognate_frequency=3e-6)),
+    "bcrit_coefficient": dict(params=ModelParams(antibody_coefficient=16.0,
+                                                 bcrit_coefficient=0.5)),
+    "antibody_coefficient": dict(params=ModelParams(antibody_coefficient=20.0)),
+    "plasma_yield": dict(params=ModelParams(antibody_coefficient=16.0, plasma_yield=2.0)),
+    "doubling_time": dict(params=ModelParams(antibody_coefficient=16.0, doubling_time=0.5)),
+    "recruitment off": dict(params=ModelParams(antibody_coefficient=16.0,
+                                               contact_latency=RECRUITMENT_DISABLED)),
+    "composition": dict(params=ModelParams(antibody_coefficient=16.0,
+                                           recruitment_composition="parallel")),
+    "resolution": dict(resolution=0.02),
+}
+# inputs the cached terms never read, as (first call, second call): each
+# second call must hit the first's entry; rho is read in contention mode only
+EXCLUDED_CHANGES = {
+    "d=1": ({}, dict(base=arch(d=1))),
+    "d=3": ({}, dict(base=arch(d=3))),
+    "mode": ({}, dict(mode="contention")),
+    "rho": (dict(mode="contention"), dict(mode="contention", params=ModelParams(
+        antibody_coefficient=16.0, contention_coefficient=0.3))),
+    "lambda=0.0": ({}, dict(params=ModelParams(antibody_coefficient=16.0, contact_latency=0.0))),
+    "lambda=0.1": ({}, dict(params=ModelParams(antibody_coefficient=16.0, contact_latency=0.1))),
+    "detector_speed": ({}, dict(params=ModelParams(antibody_coefficient=16.0,
+                                                   detector_speed=2.5))),
+    "body_volume_coefficient": ({}, dict(params=ModelParams(antibody_coefficient=16.0,
+                                                            body_volume_coefficient=3.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CHANGES) + sorted(EXCLUDED_CHANGES))
+def test_memo_key_holds_every_term_input_and_nothing_else(name):
+    keyed = name in KEY_CHANGES
+    first, second = ({}, KEY_CHANGES[name]) if keyed else EXCLUDED_CHANGES[name]
+    assert KEY_BASE["params"].contact_latency == 0.2  # lambda 0.2 is the base
+    optimum_bits(**{**KEY_BASE, **first})
+    call = {**KEY_BASE, **second}
+    got = optimum_bits(**call)
+    info = _cached_terms.cache_info()
+    # a key field changed alone misses; an excluded one hits the base's entry
+    assert (info.misses, info.hits) == ((2, 0) if keyed else (1, 1))
+    assert got == scalar_optimum_bits(**call)
+
+
+def test_memo_hit_keeps_the_sign_of_a_zero_contention_coefficient():
+    base = arch(d=3)
+    for rho in (0.0, -0.0, 0.0):  # the second and third calls hit the first's entry
+        p = ModelParams(contention_coefficient=rho)
+        got = optimum_bits(25.0, base, p, "contention", 0.01)
+        assert got == scalar_optimum_bits(25.0, base, p, "contention", 0.01)
+        assert got[1] == (-0.0 if math.copysign(1.0, rho) < 0 else 0.0).hex()
+    info = _cached_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+# pinned bits of optimal_exponent(M, MASS_TYPE_PARAMS, "contention", 0.01)
+# as the uncached kernel gives them: (a, t_detect, t_recruit, t_expand).
+# numpy's float32 arithmetic gives a float32 mass its own bits, so the key
+# must tell an np.float32 from the equal float
+MASS_TYPE_PARAMS = ModelParams(bcrit_coefficient=0.3, antibody_coefficient=7.7,
+                               recruitment_composition="parallel")
+FLOAT32_MASS = float(np.float32(10.3))
+MASS_TYPE_BITS = [
+    (10, ("0x1.0a3d70a3d70a4p-1", "0x1.353e38edd9a93p-2", "0x0.0p+0", "0x1.2ba3014c5415dp+2")),
+    *((M, ("0x1.051eb851eb852p-1", "0x1.41101dec4a059p-2", "0x0.0p+0", "0x1.2ba3014c5415ep+2"))
+      for M in (FLOAT32_MASS, np.float64(FLOAT32_MASS), np.array(FLOAT32_MASS))),
+    *((M, ("0x1.051eb851eb852p-1", "0x1.41101f6257d38p-2", "0x0.0p+0", "0x1.2ba300d025bd6p+2"))
+      for M in (np.float32(FLOAT32_MASS), np.array(FLOAT32_MASS, dtype=np.float32))),
+]
+
+
+def test_memo_keeps_each_mass_type_bits():
+    for _ in range(2):  # cold, then every call a hit
+        for M, expected in MASS_TYPE_BITS:
+            a, bd = optimal_exponent(M, MASS_TYPE_PARAMS, "contention", 0.01)
+            assert bits(a, bd.t_detect, bd.t_recruit, bd.t_expand) == expected, type(M)
+    # int, float, np.float64 and np.float32 are four keys; a 0-d array is
+    # keyed as the scalar it holds
+    info = _cached_terms.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    log_mass=st.floats(-2.0, 8.0),
+    n0=st.floats(1.0, 20.0),
+    bcrit=st.floats(0.05, 3.0),
+    recruits=st.booleans(),
+    composition=st.sampled_from(["serial", "parallel"]),
+    resolution=st.sampled_from([0.01, 0.02, 0.05, 1 / 30]),
+    sides=st.lists(st.tuples(st.sampled_from([1, 2, 3]),
+                             st.sampled_from(["spatial", "contention"]),
+                             st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+                             st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+                   min_size=2, max_size=2),
+)
+def test_memo_warm_equals_cold_property(log_mass, n0, bcrit, recruits, composition,
+                                        resolution, sides):
+    # two calls that share every key field and differ in everything else
+    calls = []
+    for d, mode, rho, latency, speed, volume in sides:
+        params = ModelParams(bcrit_coefficient=bcrit, recruitment_composition=composition,
+                             contact_latency=latency if recruits else RECRUITMENT_DISABLED,
+                             contention_coefficient=rho, detector_speed=speed,
+                             body_volume_coefficient=volume)
+        calls.append((10.0 ** log_mass, arch(n0=n0, d=d), params, mode, resolution))
+
+    def cold(call):
+        _cached_terms.cache_clear()
+        return outcome(lambda: optimum_bits(*call))
+
+    expected = [cold(call) for call in calls]
+    for first, second in ((0, 1), (1, 0)):
+        _cached_terms.cache_clear()
+        warm = [outcome(lambda: optimum_bits(*calls[i])) for i in (first, second)]
+        assert warm == [expected[first], expected[second]]
 
 
 def test_memo_results_are_read_only_and_shared():
-    x = np.array([1.0, 2.0])
-    first = _per_element(pow, 10.0, x)
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0.0
-    assert _per_element(pow, 10.0, x.copy()) is first
-    # an operand too large to keep is evaluated the same way, read-only too
-    big = np.resize(x, _MEMO_BUDGET + 1)
-    assert not _per_element(pow, 10.0, big).flags.writeable
+    p = ModelParams()
+    a, bd = optimal_exponent(10.0, p, "spatial", 1e-3)
+    terms = _cached_terms(10.0, 1e-3, *term_fields(arch(), p))  # the optimizer's entry
+    info = _cached_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert len(terms) == 4 and all(x.size == 1001 for x in terms)
+    for x in terms:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    assert _cached_terms(10.0, 1e-3, *term_fields(arch(d=3), p)) is terms
+    assert optimal_exponent(10.0, p, "spatial", 1e-3) == (a, bd)
 
 
 def test_memo_retains_at_most_its_budget_oldest_first():
-    # the budget: the 16 most recently used results, each call's operands
-    # at most _MEMO_BUDGET elements; the least recently used goes first
-    grid = exponent_grid(1e-3)
-    calls = [(pow, float(M), grid) for M in range(2, 40)]
-    results = [_per_element(*call) for call in calls]
-    info = _memoised.cache_info()
-    assert info.maxsize == info.currsize == 16
-    # the 16 most recent are hits; the one before them was evicted
-    for call, result in zip(calls[-16:], results[-16:]):
-        assert _per_element(*call) is result
-    assert _per_element(*calls[-17]) is not results[-17]
-    # an operand of _MEMO_BUDGET elements is kept, one element more is not:
-    # at most 16 results of up to 2**14 float64 each, 2 MiB
-    for size, kept in ((_MEMO_BUDGET, True), (_MEMO_BUDGET + 1, False)):
-        x = np.linspace(0.0, 1.0, size)
-        assert (_per_element(pow, 3.0, x) is _per_element(pow, 3.0, x)) is kept
+    # the 16 most recently used entries; the least recently used goes first
+    p = ModelParams()
+    masses = [float(M) for M in range(2, 40)]
+    for M in masses:
+        optimal_exponent(M, p, "contention", 1e-3)
+    info = _cached_terms.cache_info()
+    assert info.maxsize == info.currsize == 16 and info.misses == len(masses)
+    optimal_exponent(masses[-16], p, "spatial", 1e-3)  # the oldest entry, used again
+    optimal_exponent(1000.0, p, "spatial", 1e-3)  # evicts the next oldest
+    optimal_exponent(masses[-16], p, "contention", 1e-3)
+    assert _cached_terms.cache_info().misses == len(masses) + 1
+    optimal_exponent(masses[-15], p, "contention", 1e-3)
+    assert _cached_terms.cache_info().misses == len(masses) + 2
+    # a grid of _MEMO_BUDGET points is kept, one with a point more is not: at
+    # most 16 entries of 4 arrays of up to 2**14 float64 each
+    _cached_terms.cache_clear()
+    for resolution, kept in ((1 / (_MEMO_BUDGET - 1), True), (1 / _MEMO_BUDGET, False)):
+        assert exponent_grid(resolution).size == _MEMO_BUDGET + (not kept)
+        assert optimal_exponent(10.0, p, "spatial", resolution) == \
+            optimal_exponent(10.0, p, "spatial", resolution)
+        assert _cached_terms.cache_info().currsize == 1
     for M in 10.0 ** np.arange(0.0, 8.0, 0.25):
         for mode in ("spatial", "contention"):
             optimal_exponent(float(M), ModelParams(recruitment_composition="parallel"), mode,
                              1e-3)
-            assert _memoised.cache_info().currsize <= 16
+            assert _cached_terms.cache_info().currsize <= 16
 
 
 def test_memo_holds_scenario_tables_working_set():
-    # profiles in the outer loop, masses in the inner one: the 5 default
-    # masses' 15 arrays fit, so only the first profile misses
-    masses, info = [1.0, 10.0, 100.0, 1000.0, 10000.0], _memoised.cache_info
+    # the four profiles differ only in rho and a finite lambda, which the key
+    # leaves out: the first profile misses on each of the 5 masses, the
+    # other three hit
+    masses, info = [1.0, 10.0, 100.0, 1000.0, 10000.0], _cached_terms.cache_info
     scenario_table(ModelParams(), masses, grid_resolution=5e-4)
-    assert (info().misses, info().hits) == (15, 45)
+    assert (info().misses, info().hits) == (5, 15)
 
 
 def test_memo_retains_nothing_from_a_max_grid_evaluation():
     grid = exponent_grid(1e-6)
     assert grid.size == MAX_GRID_POINTS
     a, _ = optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)
-    assert _memoised.cache_info().currsize == 0
+    assert _cached_terms.cache_info().currsize == 0
     assert a == optimal_exponent(1000.0, ModelParams(), "spatial", 1e-6)[0]
 
 
 def test_memo_retains_nothing_from_a_call_that_raises():
-    with pytest.raises(ValueError, match="math domain error"):
-        _per_element(math.log2, np.array([2.0, 0.0]))
-    with pytest.raises(OverflowError):
-        _per_element(pow, 10.0, np.array([1.0, 400.0]))
-    assert _memoised.cache_info().currsize == 0
-    # the refusal is raised again, not answered from the memo
-    with pytest.raises(ValueError, match="math domain error"):
-        _per_element(math.log2, np.array([2.0, 0.0]))
+    for M, base, message in ((1e10, arch(n0=1e300), "hub count n0*M^a = inf"),
+                             (1e308, arch(), "output target antibody_coefficient*M/plasma_yield")):
+        for mode in ("spatial", "contention", "spatial"):
+            # the refusal is raised again on every call, not answered from the cache
+            with pytest.raises(ValueError, match=re.escape(message)):
+                optimal_exponent(M, ModelParams(), mode, 1e-3, base)
+            assert _cached_terms.cache_info().currsize == 0
 
 
 def test_memo_stays_consistent_under_concurrent_callers():
-    # 40 distinct inputs through 16 entries: hits, misses and evictions race
-    inputs = [np.linspace(0.0, 1.0, n) for n in range(1, 41)]
-    expected = [[3.0 ** v for v in x.tolist()] for x in inputs]
+    # 40 distinct keys through 16 entries: hits, misses and evictions race
+    p = ModelParams(recruitment_composition="parallel")
+    masses = [1.5 ** k for k in range(40)]
+    expected = [optimum_bits(M, arch(), p, "spatial", 0.02) for M in masses]
+    _cached_terms.cache_clear()
     failures = []
 
     def worker(offset):
         try:
             for step in range(300):
-                i = (offset * 7 + step * 13) % len(inputs)
-                result = _per_element(pow, 3.0, inputs[i])
-                if result.tolist() != expected[i] or result.flags.writeable:
+                i = (offset * 7 + step * 13) % len(masses)
+                if optimum_bits(masses[i], arch(), p, "spatial", 0.02) != expected[i]:
                     failures.append(i)
         except Exception as exc:  # surfaced by the assertion below
             failures.append(exc)
@@ -884,10 +1033,10 @@ def test_memo_stays_consistent_under_concurrent_callers():
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=30)
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    info = _memoised.cache_info()
+    info = _cached_terms.cache_info()
     assert info.currsize <= info.maxsize and info.hits > 0

@@ -485,6 +485,18 @@ def test_expansion_tick_counts():
     assert t_expand == 0.0 and len(log) == 0
 
 
+def test_expansion_refuses_an_overflowing_target():
+    # 16 * 1.2e307 overflows: the pool would double until it overflows too
+    world = build_world(1.2e307, arch(a=0.0), ModelParams(), seed=1)
+    spawn_infection(world)
+    run_detection(world)
+    run_recruitment(world)
+    with pytest.raises(ValueError, match=r"output target .* = inf is not finite"):
+        run_expansion(world)
+    with pytest.raises(ValueError, match=r"output target .* = inf is not finite"):
+        simulate(1.2e307, arch(a=0.0), ModelParams(), seed=1)
+
+
 def test_discrete_expansion_brackets_analytic_value():
     rng = np.random.default_rng(21)
     for _ in range(100):
