@@ -1,28 +1,6 @@
 """detnet: scaling laws and simulation for hierarchical detection networks."""
 
-from detnet.scaling import (
-    ArchitectureSpec,
-    ModelParams,
-    TimingBreakdown,
-    InfeasibleParametersError,
-    BASELINE_RESPONSE_TIME,
-    RECRUITMENT_DISABLED,
-    mean_center_distance,
-    antibody_requirement,
-    hub_count,
-    hub_size,
-    dr_extent,
-    detection_time,
-    local_cognate_pool,
-    recruitment_demand,
-    recruitment_time,
-    activated_pool,
-    expansion_time,
-    total_response_time,
-    exponent_grid,
-    optimal_exponent,
-    sweep,
-    check_feasible,
-)
+from detnet.scaling import *  # noqa: F403
+from detnet.scaling import __all__
 
 __version__ = "0.1.0"

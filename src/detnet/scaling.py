@@ -199,9 +199,11 @@ class TimingBreakdown:
             raise ValueError("t_total must equal t_detect + t_recruit + t_expand")
 
 
-def _require_positive_mass(M):
+def _positive_mass(M) -> float:
+    """M as the Python float it equals, so no numpy scalar type reaches the laws."""
     if not 0.0 < M < math.inf:
         raise ValueError(f"mass ratio M must be finite and > 0, got {M}")
+    return float(M)
 
 
 def _require_mode(mode):
@@ -252,7 +254,7 @@ def antibody_requirement(M: float, params: ModelParams) -> float:
     A system 25000x the baseline needs 25000x the absolute output to hold the
     same output concentration in a volume proportional to M.
     """
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     return params.antibody_coefficient * M
 
 
@@ -272,7 +274,7 @@ def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
     Analytic laws use the continuous value n0 * M^a; the simulator builds
     the rounded world (never fewer than one hub).
     """
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     continuous = arch.base_hub_count * M ** arch.exponent
     if not math.isfinite(continuous):
         raise ValueError(f"hub count n0*M^a = {continuous} is not finite "
@@ -282,7 +284,7 @@ def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
 
 def hub_size(M: float, arch: ArchitectureSpec) -> float:
     """Hub size in cell units at mass M: s0 * M^(1-a)."""
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     return arch.base_hub_size * M ** (1.0 - arch.exponent)
 
 
@@ -292,6 +294,7 @@ def dr_extent(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
     The domain is a d-cube of volume c_v * M split evenly over the continuous
     hub count, so each region has volume c_v * M / N(M).
     """
+    M = _positive_mass(M)
     continuous, _ = hub_count(M, arch)
     volume = params.body_volume_coefficient * M / continuous
     return volume ** (1.0 / arch.dimension)
@@ -306,7 +309,7 @@ def detection_time(M: float, arch: ArchitectureSpec, params: ModelParams,
     contention mode: queueing delay on the detector-to-hub channel, rho times
                      the detector population sharing one hub
     """
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     _require_mode(mode)
     if mode == "spatial":
         mu = mean_center_distance(arch.dimension)
@@ -329,7 +332,7 @@ def recruitment_demand(M: float, arch: ArchitectureSpec, params: ModelParams) ->
     exceed the rounded number of peers that exist. A local pool that
     underflows to 0, or a ceiling too large to be finite, is refused.
     """
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     check_feasible(arch, params)
     local = local_cognate_pool(M, arch, params)
     deficit = params.bcrit_coefficient * M - local
@@ -369,7 +372,7 @@ def activated_pool(M: float, arch: ArchitectureSpec, params: ModelParams) -> flo
     B_crit whenever local plus recruited cells can reach it. With recruitment
     disabled the hub expands from whatever its local pool holds.
     """
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     local = local_cognate_pool(M, arch, params)
     needed = params.bcrit_coefficient * M
     if not params.recruitment_enabled:
@@ -391,7 +394,7 @@ def expansion_time(B_initial: float, B_target: float, doubling_time: float) -> f
 def total_response_time(M: float, arch: ArchitectureSpec, params: ModelParams,
                         mode: str = "spatial") -> TimingBreakdown:
     """Full three-phase latency at mass M for one architecture."""
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     check_feasible(arch, params)
     t_detect = detection_time(M, arch, params, mode)
     t_recruit = recruitment_time(M, arch, params)
@@ -493,7 +496,7 @@ def _cached_terms(M, resolution, *fields):
 
 def _grid_pass(M, arch, params, mode, a, resolution=None):
     # (grid, *phases) over the float64 grid a, or cached over exponent_grid(resolution)
-    _require_positive_mass(M)
+    M = _positive_mass(M)
     check_feasible(arch, params)
     _require_mode(mode)
     # every input of the terms but M and the grid, and nothing else: the
@@ -501,9 +504,8 @@ def _grid_pass(M, arch, params, mode, a, resolution=None):
     fields = (arch.base_hub_count, arch.base_hub_size, params.cognate_frequency,
               params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
               params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
-    # a 0-d array as M is unhashable; its [()] is the same number
     a, continuous, units, t_expand = _grid_terms(M, a, *fields) if a is not None else \
-        _cached_terms(M[()] if isinstance(M, np.ndarray) else M, resolution, *fields)
+        _cached_terms(M, resolution, *fields)
     with np.errstate(all="ignore"):
         if mode == "spatial":
             volume = params.body_volume_coefficient * M / continuous

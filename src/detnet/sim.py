@@ -25,9 +25,9 @@ from detnet.scaling import (
     antibody_requirement,
     check_feasible,
     hub_count,
-    hub_size,
     output_target,
     recruitment_demand,
+    _positive_mass,
 )
 
 __all__ = ["EventRecord", "EventLog", "SimWorld", "SimulationInvariantError", "WalkLimitError",
@@ -37,8 +37,9 @@ __all__ = ["EventRecord", "EventLog", "SimWorld", "SimulationInvariantError", "W
 EVENT_TIME_DIGITS = 9
 _EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
 
-# Largest world build_world accepts: three (n, d) float64 coordinate arrays
-# and the (n, d) int64 lattice, about 192 MB at d = 3.
+# Largest world build_world accepts: the (n, d) float64 centers and the (n, d)
+# int64 lattice, about 96 MB at d = 3. spawn_infection holds its detectors to
+# the same bound.
 MAX_HUBS = 2_000_000
 
 # Random-walk steps are drawn in blocks growing from the first size to the cap;
@@ -97,15 +98,12 @@ class _Layout(NamedTuple):
     once and shared, with read-only arrays, by every world of that key."""
     extent: float
     grid_shape: tuple[int, ...]
-    # one row per hub, in flat region order: the hub at the region center and
-    # the region box (inclusive boundaries resolve to the lower index)
+    # one row per hub, in flat region order: the hub at its region's center
+    # and the region's int64 grid index
     centers: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    cells: np.ndarray  # int64 grid index of each hub
+    cells: np.ndarray
     stride: np.ndarray  # n // s_k: one cell along axis k in units of extent / n
     widths: np.ndarray  # region width along each axis
-    hub_size: float
 
 
 @dataclass
@@ -113,7 +111,6 @@ class SimWorld:
     mass: float
     arch: ArchitectureSpec
     params: ModelParams
-    seed: int
     layout: _Layout
     # one row per detector: its (k, d) position and the hub it reports to
     detector_positions: np.ndarray
@@ -128,9 +125,6 @@ class SimWorld:
     extent = property(attrgetter("layout.extent"))
     grid_shape = property(attrgetter("layout.grid_shape"))
     centers = property(attrgetter("layout.centers"))
-    lower = property(attrgetter("layout.lower"))
-    upper = property(attrgetter("layout.upper"))
-    hub_size = property(attrgetter("layout.hub_size"))
 
     def schedule(self, times: list, kind: str, subjects, hubs) -> None:
         """Append one event per entry of `times`, `subjects` and `hubs`, in order."""
@@ -175,7 +169,6 @@ def _factorizations(n: int, dimension: int) -> list[tuple[int, ...]]:
     return [(f, *rest) for f in _divisors(n) for rest in _factorizations(n // f, dimension - 1)]
 
 
-@lru_cache(maxsize=256)  # pure, and a sweep builds the same shapes again
 def _grid_shape(n: int, dimension: int) -> tuple[int, ...]:
     """Factor n into `dimension` axis counts minimizing the cell aspect ratio
     (max factor over min factor); ties resolve to the lexicographically
@@ -191,32 +184,30 @@ def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) ->
     if rounded > MAX_HUBS:  # raised before allocating, and never cached
         raise ValueError(
             f"world of {rounded} hubs exceeds the simulator's limit of {MAX_HUBS} hubs "
-            f"(its hub arrays would need about {4 * 8 * d * rounded / 1e6:.0f} MB)"
+            f"(its hub arrays would need about {2 * 8 * d * rounded / 1e6:.0f} MB)"
         )
     # floats whatever the caller's scalar types, so a memo hit returns what a build would
     extent = float((body_volume_coefficient * M) ** (1.0 / d))
     shape = _grid_shape(rounded, d)
     widths = extent / np.asarray(shape, dtype=float)
     cells = np.indices(shape, dtype=np.int64).reshape(d, -1).T  # row i: grid index of hub i
-    lower = cells * widths
-    arrays = (lower + widths / 2.0, lower, (cells + 1.0) * widths, cells,
-              rounded // np.asarray(shape), widths)
+    arrays = (cells * widths + widths / 2.0, cells, rounded // np.asarray(shape), widths)
     for array in arrays:
         array.flags.writeable = False
-    return _Layout(extent, shape, *arrays, float(hub_size(M, arch)))
+    return _Layout(extent, shape, *arrays)
 
 
 def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int) -> SimWorld:
     """Tile a d-cube of volume c_v * M into the rounded hub count of equal
-    regions and place one hub of size S(M) at each region center. The tiling
-    is shared, read-only, with the last world built for the same (M, arch, c_v)."""
+    regions and place one hub at each region center. The tiling is shared,
+    read-only, with the last world built for the same (M, arch, c_v)."""
     check_feasible(arch, params)
+    M = _positive_mass(M)
     d = arch.dimension
     return SimWorld(
         mass=M,
         arch=arch,
         params=params,
-        seed=seed,
         layout=_layout(M, arch, params.body_volume_coefficient),
         detector_positions=np.empty((0, d)),
         detector_hubs=np.empty(0, dtype=np.int64),
@@ -226,9 +217,12 @@ def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int
 
 def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorld:
     """Place loaded detectors at `site` (uniform random over the domain when
-    None), each assigned to the hub whose region contains the site."""
-    if n_detectors < 1:
-        raise ValueError(f"n_detectors must be >= 1, got {n_detectors}")
+    None), each assigned to the hub whose region contains the site. A world
+    is infected once, with at most MAX_HUBS detectors."""
+    if len(world.detector_hubs):
+        raise SimulationInvariantError("spawn_infection called twice on one world")
+    if not 1 <= n_detectors <= MAX_HUBS:
+        raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
     if site is None:
         site = world.rng.random(world.arch.dimension) * world.extent
     site = np.asarray(site, dtype=float)
@@ -238,12 +232,10 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     if not all(0.0 <= x <= extent for x in site.tolist()):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {extent}]^d")
     hub_id = world.region_of(site)
-    first = len(world.detector_hubs)  # a detector's ident is its row
-    world.detector_positions = np.concatenate(
-        (world.detector_positions, site[None, :].repeat(n_detectors, axis=0)))
-    world.detector_hubs = np.concatenate((world.detector_hubs, [hub_id] * n_detectors))
-    world.schedule([world.clock] * n_detectors, "spawn", range(first, first + n_detectors),
-                   [hub_id] * n_detectors)
+    hubs = [hub_id] * n_detectors
+    world.detector_positions = site[None, :].repeat(n_detectors, axis=0)
+    world.detector_hubs = np.array(hubs, dtype=np.int64)
+    world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors), hubs)  # ident = row
     return world
 
 

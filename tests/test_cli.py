@@ -240,6 +240,13 @@ def test_simulate_refuses_oversized_world(tmp_path, capsys):
     assert "100000000 hubs" in one_line_error(capsys)
 
 
+def test_simulate_refuses_an_absurd_detector_count(tmp_path, capsys):
+    cfg = run(tmp_path, f"masses = 1\ndetectors = 1000000000000\noutput = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    assert "n_detectors must be in [1, 2000000], got 1000000000000" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
 def test_scenario_refuses_oversized_exponent_grid(tmp_path, capsys):
     cfg = run(tmp_path, f"grid_resolution = 1e-12\noutput = {tmp_path / 'scen.csv'}\n")
     assert dispatch(["scenario", "--profile", "all", "--config", cfg]) == 1

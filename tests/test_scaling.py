@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import detnet
+from detnet import scaling
 from detnet.scaling import (
     ArchitectureSpec,
     BASELINE_RESPONSE_TIME,
@@ -142,6 +144,13 @@ def test_calibration_overflow_names_doubling_time():
         ModelParams(doubling_time=1e-3)
     # an explicit output target needs no calibration, so the period is accepted
     assert ModelParams(doubling_time=1e-3, antibody_coefficient=1.0).doubling_time == 1e-3
+
+
+def test_package_exports_the_scaling_api():
+    assert detnet.__all__ == scaling.__all__
+    for name in scaling.__all__:
+        assert getattr(detnet, name) is getattr(scaling, name), name
+    assert detnet.__version__ == "0.1.0"
 
 
 @pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan, 0.0])
@@ -877,17 +886,17 @@ def test_memo_hit_keeps_the_sign_of_a_zero_contention_coefficient():
 
 # pinned bits of optimal_exponent(M, MASS_TYPE_PARAMS, "contention", 0.01)
 # as the uncached kernel gives them: (a, t_detect, t_recruit, t_expand).
-# numpy's float32 arithmetic gives a float32 mass its own bits, so the key
-# must tell an np.float32 from the equal float
+# Every mass computes as the Python float it equals, so a float32 mass gives
+# the bits of that float
 MASS_TYPE_PARAMS = ModelParams(bcrit_coefficient=0.3, antibody_coefficient=7.7,
                                recruitment_composition="parallel")
 FLOAT32_MASS = float(np.float32(10.3))
+FLOAT32_MASS_TYPES = (FLOAT32_MASS, np.float64(FLOAT32_MASS), np.array(FLOAT32_MASS),
+                      np.float32(FLOAT32_MASS), np.array(FLOAT32_MASS, dtype=np.float32))
 MASS_TYPE_BITS = [
     (10, ("0x1.0a3d70a3d70a4p-1", "0x1.353e38edd9a93p-2", "0x0.0p+0", "0x1.2ba3014c5415dp+2")),
     *((M, ("0x1.051eb851eb852p-1", "0x1.41101dec4a059p-2", "0x0.0p+0", "0x1.2ba3014c5415ep+2"))
-      for M in (FLOAT32_MASS, np.float64(FLOAT32_MASS), np.array(FLOAT32_MASS))),
-    *((M, ("0x1.051eb851eb852p-1", "0x1.41101f6257d38p-2", "0x0.0p+0", "0x1.2ba300d025bd6p+2"))
-      for M in (np.float32(FLOAT32_MASS), np.array(FLOAT32_MASS, dtype=np.float32))),
+      for M in FLOAT32_MASS_TYPES),
 ]
 
 
@@ -896,10 +905,20 @@ def test_memo_keeps_each_mass_type_bits():
         for M, expected in MASS_TYPE_BITS:
             a, bd = optimal_exponent(M, MASS_TYPE_PARAMS, "contention", 0.01)
             assert bits(a, bd.t_detect, bd.t_recruit, bd.t_expand) == expected, type(M)
-    # int, float, np.float64 and np.float32 are four keys; a 0-d array is
-    # keyed as the scalar it holds
+    # every mass is keyed as the float it equals: one key per number
     info = _cached_terms.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+@pytest.mark.parametrize("M", [10, 10.0, *FLOAT32_MASS_TYPES], ids=repr)
+@pytest.mark.parametrize("mode", ["spatial", "contention"])
+def test_scalar_path_at_the_optimum_is_the_optimizers_breakdown(M, mode):
+    a, bd = optimal_exponent(M, MASS_TYPE_PARAMS, mode, 0.01)
+    scalar = total_response_time(M, arch(a=a), MASS_TYPE_PARAMS, mode)
+    assert bits(scalar.t_detect, scalar.t_recruit, scalar.t_expand, scalar.t_total) == \
+        bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+    phases = (scalar.t_detect, scalar.t_recruit, scalar.t_expand, scalar.t_total)
+    assert all(type(t) is float for t in phases), [type(t) for t in phases]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Tests for the discrete-event world: tiling, phases, determinism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,8 +41,14 @@ def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
     return ArchitectureSpec(exponent=a, base_hub_count=n0, base_hub_size=s0, dimension=d)
 
 
+def region_boxes(world):
+    # (lower, upper) corners of every region, as the layout places its centers
+    layout = world.layout
+    return layout.cells * layout.widths, (layout.cells + 1.0) * layout.widths
+
+
 def region_volumes(world):
-    return [float(np.prod(upper - lower)) for lower, upper in zip(world.lower, world.upper)]
+    return [float(np.prod(upper - lower)) for lower, upper in zip(*region_boxes(world))]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +59,8 @@ def test_single_region_world():
     world = build_world(1.0, arch(n0=1.0), ModelParams(), seed=1)
     assert len(world.centers) == 1
     assert np.allclose(world.centers[0], [0.5, 0.5])
-    assert np.allclose(world.lower[0], [0.0, 0.0]) and np.allclose(world.upper[0], [1.0, 1.0])
+    lower, upper = region_boxes(world)
+    assert np.allclose(lower[0], [0.0, 0.0]) and np.allclose(upper[0], [1.0, 1.0])
 
 
 def test_world_matches_rounded_scaling_counts():
@@ -73,7 +81,8 @@ def test_regions_tile_domain(M, a, d):
     volume = world.extent ** d
     total = sum(region_volumes(world))
     assert total == pytest.approx(volume, rel=1e-9)
-    for i, (center, lower, upper) in enumerate(zip(world.centers, world.lower, world.upper)):
+    boxes = region_boxes(world)
+    for i, (center, lower, upper) in enumerate(zip(world.centers, *boxes)):
         assert float(np.prod(upper - lower)) == pytest.approx(volume / rounded, rel=1e-9)
         assert np.all(lower < center) and np.all(center < upper)
         assert world.region_of(center) == i
@@ -82,7 +91,7 @@ def test_regions_tile_domain(M, a, d):
     for _ in range(200):
         point = rng.random(d) * world.extent
         i = world.region_of(point)
-        assert np.all(point >= world.lower[i] - 1e-12) and np.all(point <= world.upper[i] + 1e-12)
+        assert np.all(point >= boxes[0][i] - 1e-12) and np.all(point <= boxes[1][i] + 1e-12)
 
 
 def test_boundary_points_resolve_to_lowest_region_index():
@@ -102,6 +111,23 @@ def test_oversized_world_refused():
         build_world(1e8, arch(a=1.0), ModelParams(), seed=1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_oversized_world_refusal_prices_the_arrays_a_world_keeps(d):
+    small = build_world(16.0, arch(d=d), ModelParams(), seed=1).layout
+    per_hub = (small.centers.nbytes + small.cells.nbytes) / len(small.centers)
+    n = MAX_HUBS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^world of {n} hubs exceeds .* limit of "
+                                             rf"{MAX_HUBS} hubs \(.* about "
+                                             rf"{per_hub * n / 1e6:.0f} MB\)$"):
+            build_world(1.0, arch(a=1.0, n0=float(n), d=d), ModelParams(), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # refused before any hub array was allocated
+
+
 def test_region_of_rejects_outside_points():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     with pytest.raises(SimulationInvariantError):
@@ -110,9 +136,12 @@ def test_region_of_rejects_outside_points():
 
 def test_world_geometry_is_read_only():
     world = build_world(16.0, arch(), ModelParams(), seed=1)
-    for name in ("centers", "lower", "upper"):
+    assert world.layout._fields == ("extent", "grid_shape", "centers", "cells", "stride",
+                                    "widths")
+    for array in (x for x in world.layout if isinstance(x, np.ndarray)):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(world, name)[0, 0] = 0.0
+            array[(0,) * array.ndim] = 0
+    for name in ("extent", "grid_shape", "centers"):
         with pytest.raises(AttributeError):
             setattr(world, name, np.zeros((4, 2)))
     assert world.centers.tolist() == [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]]
@@ -148,9 +177,8 @@ def test_layout_memo_keys_on_everything_the_tiling_reads(spec, params):
     assert world.layout is not base.layout
     assert world.extent == (params.body_volume_coefficient * M) ** (1.0 / spec.dimension)
     assert len(world.grid_shape) == spec.dimension and math.prod(world.grid_shape) == rounded
-    for array in (world.centers, world.lower, world.upper):
+    for array in (world.centers, world.layout.cells):
         assert array.shape == (rounded, spec.dimension)
-    assert world.hub_size == spec.base_hub_size * M ** (1.0 - spec.exponent)
 
 
 def test_refusals_run_on_every_call_and_are_never_cached():
@@ -352,6 +380,36 @@ def test_run_detection_needs_a_spawn_and_runs_once():
     run_detection(world)
     with pytest.raises(SimulationInvariantError, match="after detection completed"):
         run_detection(world)
+
+
+def test_spawn_infection_runs_once():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    spawn_infection(world, site=[0.5, 3.5], n_detectors=2)
+    positions, hubs, events = world.detector_positions, world.detector_hubs, world.drain(0)
+    for site in ([0.5, 3.5], None):
+        with pytest.raises(SimulationInvariantError, match="spawn_infection called twice"):
+            spawn_infection(world, site=site)
+    assert world.detector_positions is positions and world.detector_hubs is hubs
+    assert world.drain(0) == events
+
+
+@pytest.mark.parametrize("n_detectors", [0, MAX_HUBS + 1, 10 ** 12])
+def test_spawn_refuses_a_detector_count_out_of_range_before_placing_any(n_detectors):
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    state = world.rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^n_detectors must be in \[1, {MAX_HUBS}\], "
+                                             rf"got {n_detectors}$"):
+            spawn_infection(world, n_detectors=n_detectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(world.detector_hubs) == 0 and len(world.drain(0)) == 0
+    assert world.rng.bit_generator.state == state  # no site was drawn
+    spawn_infection(world, n_detectors=3)  # the refusal left the world unspawned
+    assert len(world.drain(0)) == 3
 
 
 def test_detector_arrays_hold_one_row_per_detector():
