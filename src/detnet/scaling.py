@@ -92,6 +92,12 @@ class ArchitectureSpec:
             raise ValueError(f"base_hub_size must be > 0, got {self.base_hub_size}")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+        # numpy scalars and ints compute as the Python number they equal
+        for name, kind in (("exponent", float), ("base_hub_count", float),
+                           ("base_hub_size", float), ("dimension", int)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                object.__setattr__(self, name, kind(value))
 
     def with_exponent(self, a: float) -> "ArchitectureSpec":
         return replace(self, exponent=a)
@@ -153,6 +159,8 @@ class ModelParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+            if type(value) is not float:  # numpy scalars compute as the float they equal
+                object.__setattr__(self, name, float(value))
         if self.antibody_coefficient is None:
             object.__setattr__(
                 self,
@@ -164,10 +172,12 @@ class ModelParams:
         # also a calibrated coefficient, which underflows to 0 on tiny inputs
         if not self.antibody_coefficient > 0.0:
             raise ValueError(f"antibody_coefficient must be > 0, got {self.antibody_coefficient}")
-        for name in ("contact_latency", "contention_coefficient"):
+        for name in ("antibody_coefficient", "contact_latency", "contention_coefficient"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if self.recruitment_composition not in ("serial", "parallel"):
             raise ValueError(
                 "recruitment_composition must be 'serial' or 'parallel', "
@@ -517,18 +527,6 @@ def _grid_pass(M, arch, params, mode, a, resolution=None):
         return a, t_detect, t_recruit, t_expand, t_detect + t_recruit + t_expand
 
 
-def _grid_phases(M: float, arch: ArchitectureSpec, params: ModelParams, mode: str,
-                 exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`total_response_time` at every exponent in one uncached pass, as arrays
-    (t_detect, t_recruit, t_expand, t_total) equal bit for bit to the scalar
-    path (`arch`'s own exponent is ignored), or the scalar path's error."""
-    a = np.array(exponents, dtype=float)
-    out_of_range = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
-    if out_of_range.size:
-        arch.with_exponent(exponents[out_of_range[0]])  # raises the spec's range error
-    return _grid_pass(M, arch, params, mode, a)[1:]
-
-
 def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
                      grid_resolution: float = 0.01,
                      arch: ArchitectureSpec | None = None,
@@ -559,15 +557,20 @@ def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
     """Evaluate total response time over the (M, a) product grid.
 
     Returns one row per pair in deterministic order, M-major then a-minor;
-    each mass is one pass over a_list.
+    each mass is one uncached pass over a_list, equal bit for bit to the
+    scalar path (`arch`'s own exponent is ignored), or the scalar path's error.
     """
     if len(M_list) == 0 or len(a_list) == 0:  # lists or arrays
         raise ValueError("M_list and a_list must be non-empty")
     if arch is None:
         arch = ArchitectureSpec()
+    grid = np.array(a_list, dtype=float)
+    out_of_range = np.flatnonzero(~((grid >= 0.0) & (grid <= 1.0)))
+    if out_of_range.size:
+        arch.with_exponent(a_list[out_of_range[0]])  # raises the spec's range error
     rows = []
     for M in M_list:
-        t_detect, t_recruit, t_expand, _ = _grid_phases(M, arch, params, mode, a_list)
+        _, t_detect, t_recruit, t_expand, _ = _grid_pass(M, arch, params, mode, grid)
         rows.extend((float(M), float(a), TimingBreakdown(*phases)) for a, *phases in
                     zip(a_list, t_detect.tolist(), t_recruit.tolist(), t_expand.tolist()))
     return rows

@@ -111,22 +111,14 @@ def _pick_winner(totals: dict[str, float]) -> str:
         return "tie"
     # near-exact ties (an optimized model 3 collapsing onto an endpoint)
     # resolve to the simpler architecture
-    for name in MODEL_NAMES:
-        if totals[name] <= lowest * (1.0 + EPSILON_TIE) + 1e-300:
-            return name
-    raise AssertionError("unreachable: some model must attain the minimum")
+    return next(name for name in MODEL_NAMES
+                if totals[name] <= lowest * (1.0 + EPSILON_TIE) + 1e-300)
 
 
 def _overall(winners: list[str]) -> str:
     contested = [w for w in winners if w != "tie"]
-    if not contested:
-        return "tie"
-    counts = {name: contested.count(name) for name in MODEL_NAMES}
-    best = max(counts.values())
-    for name in MODEL_NAMES:
-        if counts[name] == best:
-            return name
-    raise AssertionError("unreachable")
+    # max keeps the first of equal counts: the simpler architecture
+    return max(MODEL_NAMES, key=contested.count) if contested else "tie"
 
 
 def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,

@@ -38,8 +38,8 @@ EVENT_TIME_DIGITS = 9
 _EVENT_LINE = f"%.{EVENT_TIME_DIGITS}f\t%s\t%d\t%d"
 
 # Largest world build_world accepts: the (n, d) float64 centers and the (n, d)
-# int64 lattice, about 96 MB at d = 3. spawn_infection holds its detectors to
-# the same bound.
+# int64 lattice, about 96 MB at d = 3. spawn_infection holds its detector
+# count k to the same bound, which bounds its 2k spawn and arrival events.
 MAX_HUBS = 2_000_000
 
 # Random-walk steps are drawn in blocks growing from the first size to the cap;
@@ -112,9 +112,11 @@ class SimWorld:
     arch: ArchitectureSpec
     params: ModelParams
     layout: _Layout
-    # one row per detector: its (k, d) position and the hub it reports to
-    detector_positions: np.ndarray
-    detector_hubs: np.ndarray
+    # the infection: its (d,) site, the hub whose region holds it, and the
+    # number of detectors spawned there (0 until spawn_infection)
+    site: np.ndarray | None = None
+    site_hub: int | None = None
+    detectors: int = 0
     clock: float = 0.0
     rng: np.random.Generator = None  # type: ignore[assignment]
     infected_hub: int | None = None
@@ -203,39 +205,34 @@ def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int
     read-only, with the last world built for the same (M, arch, c_v)."""
     check_feasible(arch, params)
     M = _positive_mass(M)
-    d = arch.dimension
     return SimWorld(
         mass=M,
         arch=arch,
         params=params,
         layout=_layout(M, arch, params.body_volume_coefficient),
-        detector_positions=np.empty((0, d)),
-        detector_hubs=np.empty(0, dtype=np.int64),
         rng=np.random.default_rng(seed),
     )
 
 
 def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorld:
-    """Place loaded detectors at `site` (uniform random over the domain when
-    None), each assigned to the hub whose region contains the site. A world
-    is infected once, with at most MAX_HUBS detectors."""
-    if len(world.detector_hubs):
+    """Place `n_detectors` loaded detectors at `site` (uniform random over the
+    domain when None); all report to the hub whose region contains the site.
+    A world is infected once, with at most MAX_HUBS detectors."""
+    if world.detectors:
         raise SimulationInvariantError("spawn_infection called twice on one world")
     if not 1 <= n_detectors <= MAX_HUBS:
         raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
     if site is None:
         site = world.rng.random(world.arch.dimension) * world.extent
-    site = np.asarray(site, dtype=float)
+    site = np.array(site, dtype=float)  # the world's own copy
     if site.shape != (world.arch.dimension,):
         raise ValueError(f"site must have {world.arch.dimension} coordinates, got {site.shape}")
     extent = world.extent
     if not all(0.0 <= x <= extent for x in site.tolist()):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {extent}]^d")
-    hub_id = world.region_of(site)
-    hubs = [hub_id] * n_detectors
-    world.detector_positions = site[None, :].repeat(n_detectors, axis=0)
-    world.detector_hubs = np.array(hubs, dtype=np.int64)
-    world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors), hubs)  # ident = row
+    world.site, world.site_hub, world.detectors = site, world.region_of(site), n_detectors
+    world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors),
+                   [world.site_hub] * n_detectors)
     return world
 
 
@@ -287,7 +284,7 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
 # phase drains what it scheduled, and simulate drains once, at the end.
 
 def _detect(world: SimWorld, movement: str, step_length: float) -> float:
-    if not len(world.detector_hubs):
+    if not world.detectors:
         raise SimulationInvariantError("run_detection called before spawn_infection")
     if world.infected_hub is not None:
         raise SimulationInvariantError("run_detection called after detection completed")
@@ -297,30 +294,24 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
         raise ValueError(f"step_length must be finite and > 0, got {step_length}")
 
     start_time = world.clock
-    v = world.params.detector_speed
-    hubs = world.detector_hubs.tolist()
-    # detector by detector: a row-wise norm rounds differently from
-    # np.linalg.norm of one vector, and each walk draws from the RNG in turn
-    arrivals = []
-    for position, hub in zip(world.detector_positions, hubs):
-        if movement == "straight":
-            travel = float(np.linalg.norm(position - world.centers[hub])) / v
-        else:
-            steps = _walk_arrival_steps(world, position, world.centers[hub], step_length)
-            travel = steps * step_length / v
-        arrivals.append(start_time + travel)
-    world.schedule(arrivals, "arrival", range(len(hubs)), hubs)
-    first = arrivals.index(min(arrivals))  # the first detector among equal arrivals
-    world.infected_hub = hubs[first]
-    world.clock = arrivals[first]
+    v, k, hub_pos = world.params.detector_speed, world.detectors, world.centers[world.site_hub]
+    if movement == "straight":
+        arrivals = [start_time + float(np.linalg.norm(world.site - hub_pos)) / v] * k
+    else:  # one walk per detector, each drawing from the RNG in turn
+        arrivals = [start_time + _walk_arrival_steps(world, world.site, hub_pos, step_length)
+                    * step_length / v for _ in range(k)]
+    world.schedule(arrivals, "arrival", range(k), [world.site_hub] * k)
+    world.infected_hub = world.site_hub
+    world.clock = min(arrivals)
     return world.clock - start_time
 
 
 def run_detection(world: SimWorld, movement: str = "straight",
                   step_length: float = 0.1) -> tuple[float, EventLog]:
-    """Move every spawned detector to its hub; detection completes at the
-    first arrival. Straight mode travels the exact distance at detector speed;
-    random-walk mode takes fixed-length steps in uniform directions."""
+    """Move every spawned detector from the site to the site's hub; detection
+    completes at the first arrival. Straight mode travels the exact distance
+    at detector speed; random-walk mode takes fixed-length steps in uniform
+    directions."""
     start_seq = len(world._events[0])
     return _detect(world, movement, step_length), world.drain(start_seq)
 

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from detnet.scaling import (
     total_response_time,
     _MEMO_BUDGET,
     _cached_terms,
-    _grid_phases,
 )
 from detnet.scenarios import PROFILE_NAMES, profile_from_name, scenario_table
 
@@ -656,16 +656,21 @@ def scalar_bits(M, base, params, mode, a):
     return bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
 
 
+def kernel_phases(M, base, params, mode, exponents):
+    # the uncached one-pass kernel, through its public entry: one sweep row per exponent
+    return [row[2] for row in sweep([M], exponents, params, mode, base)]
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
 @pytest.mark.parametrize("mode", ["spatial", "contention"])
 def test_grid_kernel_matches_scalar_path_bit_for_bit(name, mode):
     params, grid = KERNEL_PARAMS[name], exponent_grid(0.02)
     for base in KERNEL_ARCHS:
         for M in KERNEL_MASSES:
-            phases = _grid_phases(M, base, params, mode, grid)
-            for i, a in enumerate(grid.tolist()):
-                assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
-                    (M, a, base)
+            rows = kernel_phases(M, base, params, mode, grid)
+            for bd, a in zip(rows, grid.tolist(), strict=True):
+                assert bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total) == \
+                    scalar_bits(M, base, params, mode, a), (M, a, base)
 
 
 def scalar_optimum_bits(M, base, params, mode, resolution):
@@ -695,10 +700,10 @@ def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
             for mode in ("contention", "spatial"):
                 assert optimum_bits(M, base, params, mode, 0.02) == \
                     scalar_optimum_bits(M, base, params, mode, 0.02), (M, base, mode)
-                phases = _grid_phases(M, base, params, mode, grid)
-                for i, a in enumerate(grid.tolist()):
-                    assert bits(*(p[i] for p in phases)) == scalar_bits(M, base, params, mode, a), \
-                        (M, a, base, mode)
+                rows = kernel_phases(M, base, params, mode, grid)
+                for bd, a in zip(rows, grid.tolist(), strict=True):
+                    assert bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total) == \
+                        scalar_bits(M, base, params, mode, a), (M, a, base, mode)
     assert _cached_terms.cache_info().hits > warm.hits
 
 
@@ -759,7 +764,7 @@ def test_grid_kernel_keeps_the_scalar_errors():
         # an array grid, as the optimizer passes, is refused the same way
         for grid in (exponents, np.array(exponents)):
             with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-                _grid_phases(M, base, params, mode, grid)
+                kernel_phases(M, base, params, mode, grid)
 
 
 def test_grid_kernel_keeps_points_the_scalar_path_accepts():
@@ -767,7 +772,7 @@ def test_grid_kernel_keeps_points_the_scalar_path_accepts():
     # scalar path needs no peer: the point is checked, not refused
     base, params, grid = arch(s0=1e308), ModelParams(cognate_frequency=1.0), [0.0, 0.5, 1.0]
     expected = [total_response_time(100.0, base.with_exponent(a), params).t_total for a in grid]
-    assert _grid_phases(100.0, base, params, "spatial", grid)[3].tolist() == expected
+    assert [bd.t_total for bd in kernel_phases(100.0, base, params, "spatial", grid)] == expected
 
 
 def outcome(evaluate):
@@ -802,9 +807,8 @@ def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, compositio
     exponents = [0.0, a, 1.0]
 
     def kernel_rows():
-        phases = _grid_phases(M, base, params, mode, exponents)
-        assert np.array_equal(phases[3], phases[0] + phases[1] + phases[2])
-        return [bits(*(p[i] for p in phases)) for i in range(len(exponents))]
+        return [bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
+                for bd in kernel_phases(M, base, params, mode, exponents)]
 
     scalar = outcome(lambda: [scalar_bits(M, base, params, mode, x) for x in exponents])
     assert outcome(kernel_rows) == scalar
@@ -910,15 +914,36 @@ def test_memo_keeps_each_mass_type_bits():
     assert (info.misses, info.currsize) == (2, 2)
 
 
-@pytest.mark.parametrize("M", [10, 10.0, *FLOAT32_MASS_TYPES], ids=repr)
+def constants_as(kind):
+    # MASS_TYPE_PARAMS and the default architecture with every numeric
+    # constant as `kind` of its nearest float32, so each kind holds the same numbers
+    def cast(value):
+        return kind(np.float32(value))
+    params = replace(MASS_TYPE_PARAMS, **{
+        f.name: cast(getattr(MASS_TYPE_PARAMS, f.name)) for f in fields(ModelParams)
+        if f.name != "recruitment_composition"})
+    return params, ArchitectureSpec(cast(0.5), cast(1.0), cast(1.0e6), np.int64(2))
+
+
+@pytest.mark.parametrize("M, kind", [
+    pytest.param(M, kind, id=f"{M!r}-{kind.__name__}" if kind else repr(M))
+    for kind in (None, np.float64, np.float32) for M in (10, 10.0, *FLOAT32_MASS_TYPES)])
 @pytest.mark.parametrize("mode", ["spatial", "contention"])
-def test_scalar_path_at_the_optimum_is_the_optimizers_breakdown(M, mode):
-    a, bd = optimal_exponent(M, MASS_TYPE_PARAMS, mode, 0.01)
-    scalar = total_response_time(M, arch(a=a), MASS_TYPE_PARAMS, mode)
+def test_scalar_path_at_the_optimum_is_the_optimizers_breakdown(M, kind, mode):
+    params, base = constants_as(kind) if kind else (MASS_TYPE_PARAMS, arch())
+    # numpy-scalar constants are kept as the Python numbers they equal
+    assert all(type(getattr(params, f.name)) is float for f in fields(ModelParams)
+               if f.name != "recruitment_composition")
+    assert [type(getattr(base, f.name)) for f in fields(ArchitectureSpec)] == [float] * 3 + [int]
+    a, bd = optimal_exponent(M, params, mode, 0.01, base)
+    scalar = total_response_time(M, base.with_exponent(a), params, mode)
     assert bits(scalar.t_detect, scalar.t_recruit, scalar.t_expand, scalar.t_total) == \
         bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total)
     phases = (scalar.t_detect, scalar.t_recruit, scalar.t_expand, scalar.t_total)
     assert all(type(t) is float for t in phases), [type(t) for t in phases]
+    if kind:  # and compute as the Python floats they equal
+        float_params, float_base = constants_as(float)
+        assert total_response_time(M, float_base.with_exponent(a), float_params, mode) == scalar
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,5 +1,6 @@
 """Tests for the discrete-event world: tiling, phases, determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from detnet.sim import (
     EventLog,
     EventRecord,
     SimulationInvariantError,
+    SimWorld,
     WalkLimitError,
     _fold,
     _layout,
@@ -147,19 +149,29 @@ def test_world_geometry_is_read_only():
     assert world.centers.tolist() == [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]]
 
 
+def test_world_fields_are_pinned():
+    # one infection per world: a site, its hub and a detector count
+    assert [f.name for f in dataclasses.fields(SimWorld)] == [
+        "mass", "arch", "params", "layout", "site", "site_hub", "detectors", "clock", "rng",
+        "infected_hub", "pool", "_events"]
+
+
 def test_worlds_of_one_layout_share_no_mutable_state():
     first = build_world(16.0, arch(), ModelParams(), seed=1)
     second = build_world(16.0, arch(), ModelParams(), seed=2)
     assert second.layout is first.layout
     spawn_infection(first, n_detectors=2)
     run_detection(first)
-    assert second.detector_positions.shape == (0, 2) and len(second.detector_hubs) == 0
+    assert (second.site, second.site_hub, second.detectors) == (None, None, 0)
     assert second.infected_hub is None and second.clock == 0.0 and len(second.drain(0)) == 0
     assert all(a is not b for a, b in zip(first._events, second._events))
     assert second.rng is not first.rng
     spawn_infection(second, n_detectors=2)
-    assert not np.shares_memory(first.detector_positions, second.detector_positions)
-    assert not np.shares_memory(first.detector_hubs, second.detector_hubs)
+    assert not np.shares_memory(first.site, second.site)
+    # a site given as an array is copied, not kept as the caller's (or the layout's) view
+    site = second.centers[0]
+    third = spawn_infection(build_world(16.0, arch(), ModelParams(), seed=3), site=site)
+    assert not np.shares_memory(third.site, site) and third.site.tolist() == site.tolist()
 
 
 @pytest.mark.parametrize("spec, params", [
@@ -211,10 +223,10 @@ def test_spawn_site_reproducible_from_seed():
     w2 = build_world(16.0, arch(), ModelParams(), seed=9)
     spawn_infection(w1)
     spawn_infection(w2)
-    assert np.array_equal(w1.detector_positions[0], w2.detector_positions[0])
+    assert np.array_equal(w1.site, w2.site) and w1.site_hub == w2.site_hub
     w3 = build_world(16.0, arch(), ModelParams(), seed=10)
     spawn_infection(w3)
-    assert not np.array_equal(w1.detector_positions[0], w3.detector_positions[0])
+    assert not np.array_equal(w1.site, w3.site)
 
 
 @pytest.mark.parametrize("site", [[math.nan, 0.5], [0.5, -0.1], [1.5, 0.5]])
@@ -222,7 +234,7 @@ def test_spawn_refuses_site_outside_the_domain(site):
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     with pytest.raises(ValueError, match=r"^site .* outside the domain \[0, 1\.0\]\^d$"):
         spawn_infection(world, site=site)
-    assert len(world.detector_positions) == 0 and len(world.detector_hubs) == 0
+    assert (world.site, world.site_hub, world.detectors) == (None, None, 0)
 
 
 def test_straight_arrival_time_is_distance_over_speed():
@@ -385,11 +397,12 @@ def test_run_detection_needs_a_spawn_and_runs_once():
 def test_spawn_infection_runs_once():
     world = build_world(16.0, arch(), ModelParams(), seed=1)
     spawn_infection(world, site=[0.5, 3.5], n_detectors=2)
-    positions, hubs, events = world.detector_positions, world.detector_hubs, world.drain(0)
-    for site in ([0.5, 3.5], None):
+    site, hub, events = world.site, world.site_hub, world.drain(0)
+    for again in ([0.5, 3.5], None):
         with pytest.raises(SimulationInvariantError, match="spawn_infection called twice"):
-            spawn_infection(world, site=site)
-    assert world.detector_positions is positions and world.detector_hubs is hubs
+            spawn_infection(world, site=again)
+    assert world.site is site and world.site.tolist() == [0.5, 3.5]
+    assert (world.site_hub, world.detectors) == (hub, 2)
     assert world.drain(0) == events
 
 
@@ -406,18 +419,32 @@ def test_spawn_refuses_a_detector_count_out_of_range_before_placing_any(n_detect
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert len(world.detector_hubs) == 0 and len(world.drain(0)) == 0
+    assert (world.site, world.detectors) == (None, 0) and len(world.drain(0)) == 0
     assert world.rng.bit_generator.state == state  # no site was drawn
     spawn_infection(world, n_detectors=3)  # the refusal left the world unspawned
     assert len(world.drain(0)) == 3
 
 
-def test_detector_arrays_hold_one_row_per_detector():
+def test_spawn_keeps_one_site_its_hub_and_the_detector_count():
     world = build_world(16.0, arch(), ModelParams(), seed=1)
-    assert world.detector_positions.shape == (0, 2) and world.detector_hubs.shape == (0,)
+    assert (world.site, world.site_hub, world.detectors) == (None, None, 0)
     spawn_infection(world, site=[0.5, 3.5], n_detectors=3)
-    assert world.detector_positions.tolist() == [[0.5, 3.5]] * 3
-    assert world.detector_hubs.tolist() == [world.region_of(np.array([0.5, 3.5]))] * 3
+    assert world.site.shape == (2,) and world.site.tolist() == [0.5, 3.5]
+    assert world.site_hub == world.region_of(np.array([0.5, 3.5])) and world.detectors == 3
+
+
+@pytest.mark.parametrize("site", [[0.5, 3.5], [2.25, 1.0], None])
+def test_straight_detectors_all_arrive_after_the_sites_distance_over_speed(site):
+    world = build_world(16.0, arch(), ModelParams(detector_speed=3.0), seed=4)
+    spawn_infection(world, site=site, n_detectors=3)
+    start, hub = world.clock, world.site_hub
+    expected = start + float(np.linalg.norm(world.site - world.centers[hub])) / 3.0
+    t_detect, _ = run_detection(world)
+    records = list(world.drain(0))
+    assert [r.kind for r in records] == ["spawn"] * 3 + ["arrival"] * 3
+    assert [r.time for r in records if r.kind == "arrival"] == [expected] * 3
+    assert [(r.subject, r.hub) for r in records] == [(i, hub) for i in range(3)] * 2
+    assert (world.infected_hub, world.clock, t_detect) == (hub, expected, expected - start)
 
 
 # ---------------------------------------------------------------------------
