@@ -114,9 +114,9 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = parse_config("")
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)  # validated like a config seed
-    return cfg
+    # the flags are validated like the config keys they override
+    flags = {name: getattr(args, name, None) for name in ("seed", "trials")}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_analyze(args) -> int:
@@ -143,16 +143,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    trials = args.trials if args.trials is not None else cfg.trials
-    if trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {trials}")
-
     rows = []
     events = []  # per trial: a trial-begin marker line, then the trial's log
     n_events = 0
     for M in cfg.masses:
         detect, recruit, expand = [], [], []
-        for trial in range(trials):
+        for trial in range(cfg.trials):
             trial_seed = cfg.seed + trial
             bd, log = simulate(M, cfg.arch, cfg.params, trial_seed,
                                site=cfg.site, n_detectors=cfg.detectors,
@@ -183,8 +179,7 @@ def _cmd_simulate(args) -> int:
 
 def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
     """One profile under the config, as the single-profile output reports it."""
-    profile = profile_from_name(name, cfg.limited_rho, cfg.limited_lambda)
-    return evaluate_scenario(profile, cfg.masses, cfg.params,
+    return evaluate_scenario(profile_from_name(name), cfg.masses, cfg.params,
                              model3_exponent=cfg.model3_exponent,
                              arch=cfg.arch, grid_resolution=cfg.grid_resolution)
 
@@ -192,8 +187,7 @@ def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
 def _cmd_scenario(args) -> int:
     cfg = _load_config(args)
     if args.profile == "all":
-        table = scenario_table(cfg.params, cfg.masses, cfg.limited_rho, cfg.limited_lambda,
-                               cfg.arch, cfg.grid_resolution,
+        table = scenario_table(cfg.params, cfg.masses, cfg.arch, cfg.grid_resolution,
                                model3_exponent=cfg.model3_exponent)
         lines = ["profile,winner"] + [f"{name},{winner}" for name, winner in table]
         for name, winner in table:

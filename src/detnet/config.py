@@ -46,8 +46,6 @@ class RunConfig:
     detectors: int = 1
     walk_step: float = 0.1
     grid_resolution: float = 0.01
-    limited_rho: float = 0.1
-    limited_lambda: float = 0.1
     model3_exponent: float | None = None  # None = optimize per mass
     site: tuple[float, ...] | None = None  # None = uniform random
 
@@ -66,8 +64,6 @@ class RunConfig:
             ("detectors", self.detectors >= 1, ">= 1"),
             ("walk_step", 0.0 < self.walk_step < math.inf, "finite and > 0"),
             ("grid_resolution", 0.0 < self.grid_resolution <= 1.0, "in (0, 1]"),
-            ("limited_rho", self.limited_rho > 0.0, "> 0"),
-            ("limited_lambda", self.limited_lambda > 0.0, "> 0"),
             ("model3_exponent", m3 is None or 0.0 <= m3 <= 1.0, "in [0, 1] or None (auto)"),
             ("site", site is None or len(site) == d, f"None (random) or {d} coordinates"),
         ):

@@ -18,7 +18,7 @@ responders double every `doubling_time` until the output target is met).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
 
@@ -196,17 +196,13 @@ class TimingBreakdown:
     t_detect: float
     t_recruit: float
     t_expand: float
-    t_total: float = None  # type: ignore[assignment]
+    t_total: float = field(init=False)
 
     def __post_init__(self):
         for name in ("t_detect", "t_recruit", "t_expand"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        total = self.t_detect + self.t_recruit + self.t_expand
-        if self.t_total is None:
-            object.__setattr__(self, "t_total", total)
-        elif self.t_total != total:
-            raise ValueError("t_total must equal t_detect + t_recruit + t_expand")
+        object.__setattr__(self, "t_total", self.t_detect + self.t_recruit + self.t_expand)
 
 
 def _positive_mass(M) -> float:
@@ -228,8 +224,8 @@ def check_feasible(arch: ArchitectureSpec, params: ModelParams) -> None:
     total_per_mass = params.cognate_frequency * arch.base_hub_count * arch.base_hub_size
     if total_per_mass < params.bcrit_coefficient:
         raise InfeasibleParametersError(
-            f"system-wide cognate pool {total_per_mass:g} per unit mass is below "
-            f"the required {params.bcrit_coefficient:g} responders per unit mass"
+            f"system-wide cognate pool {total_per_mass!r} per unit mass is below "
+            f"the required {params.bcrit_coefficient!r} responders per unit mass"
         )
 
 

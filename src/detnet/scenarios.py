@@ -51,42 +51,40 @@ PROFILE_NAMES = (
 class ScenarioProfile:
     """Which communication channels are bandwidth-limited.
 
-    limited_rho and limited_lambda are the per-detector and per-contact costs
-    applied when the corresponding channel is limited; an unlimited channel
-    costs nothing.
+    A limited channel costs what the model charges for it (the detector
+    channel `contention_coefficient`, the hub channel `contact_latency`); an
+    unlimited channel costs nothing.
     """
 
     detector_channel: str
     hub_channel: str
-    limited_rho: float = 0.1
-    limited_lambda: float = 0.1
 
     def __post_init__(self):
         for name in ("detector_channel", "hub_channel"):
             value = getattr(self, name)
             if value not in ("limited", "unlimited"):
                 raise ValueError(f"{name} must be 'limited' or 'unlimited', got {value!r}")
-        if not self.limited_rho > 0.0:
-            raise ValueError(f"limited_rho must be > 0, got {self.limited_rho}")
-        if not self.limited_lambda > 0.0:
-            raise ValueError(f"limited_lambda must be > 0, got {self.limited_lambda}")
 
     @property
     def name(self) -> str:
         return f"{self.detector_channel}-{self.hub_channel}"
 
     def effective_params(self, params: ModelParams) -> ModelParams:
-        rho = self.limited_rho if self.detector_channel == "limited" else 0.0
-        lam = self.limited_lambda if self.hub_channel == "limited" else 0.0
-        return replace(params, contention_coefficient=rho, contact_latency=lam)
+        costs = {}
+        for key, channel in (("contention_coefficient", self.detector_channel),
+                             ("contact_latency", self.hub_channel)):
+            cost = getattr(params, key)
+            if channel == "limited" and not cost > 0.0:
+                raise ValueError(f"profile {self.name} needs {key} > 0 on its limited "
+                                 f"channel, got {cost!r}")
+            costs[key] = cost if channel == "limited" else 0.0
+        return replace(params, **costs)
 
 
-def profile_from_name(name: str, limited_rho: float = 0.1,
-                      limited_lambda: float = 0.1) -> ScenarioProfile:
+def profile_from_name(name: str) -> ScenarioProfile:
     if name not in PROFILE_NAMES:
         raise ValueError(f"unknown profile {name!r}; expected one of {PROFILE_NAMES}")
-    detector, hub = name.split("-")
-    return ScenarioProfile(detector, hub, limited_rho, limited_lambda)
+    return ScenarioProfile(*name.split("-"))
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
 
 
 def scenario_table(params: ModelParams, M_list,
-                   limited_rho: float = 0.1, limited_lambda: float = 0.1,
                    arch: ArchitectureSpec | None = None,
                    grid_resolution: float = 0.01,
                    model3_exponent: float | None = None) -> list[tuple[str, str]]:
@@ -166,8 +163,8 @@ def scenario_table(params: ModelParams, M_list,
     model3_exponent as in `evaluate_scenario`."""
     rows = []
     for name in PROFILE_NAMES:
-        profile = profile_from_name(name, limited_rho, limited_lambda)
-        verdict = evaluate_scenario(profile, M_list, params, model3_exponent=model3_exponent,
-                                    arch=arch, grid_resolution=grid_resolution)
+        verdict = evaluate_scenario(profile_from_name(name), M_list, params,
+                                    model3_exponent=model3_exponent, arch=arch,
+                                    grid_resolution=grid_resolution)
         rows.append((name, verdict.overall_winner))
     return rows

@@ -60,6 +60,17 @@ def test_infeasible_parameters_exit_code_2(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_infeasible_message_tells_the_two_sides_apart(tmp_path, capsys):
+    # a pool just below the requirement must not print as equal to it
+    cfg = run(tmp_path, "cognate_frequency = 9.99999997e-7\n")
+    assert dispatch(["analyze", "--mass", "10", "--exponent", "0.5", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible parameters: system-wide cognate pool ")
+    pool, required = (float(word) for word in err.split()
+                      if word[0].isdigit() and word != "per")
+    assert pool < required == 1.0
+
+
 def test_config_error_exit_code_1(tmp_path, capsys):
     cfg = run(tmp_path, "dimenson = 2\n")
     assert dispatch(["sweep", "--config", cfg]) == 1
@@ -117,6 +128,13 @@ def test_simulate_trials_flag_overrides_config(tmp_path):
     cfg = run(tmp_path, f"masses = 1\ntrials = 9\noutput = {out}\n")
     assert dispatch(["simulate", "--config", cfg, "--trials", "2"]) == 0
     assert len(out.read_text().splitlines()) == 1 + 2 + 1
+
+
+def test_simulate_trials_flag_is_validated(tmp_path, capsys):
+    cfg = run(tmp_path, f"masses = 1\noutput = {tmp_path / 'sim.csv'}\n")
+    assert dispatch(["simulate", "--config", cfg, "--trials", "0"]) == 1
+    assert one_line_error(capsys) == "error: trials must be >= 1, got 0\n"
+    assert list(tmp_path.glob("sim.csv*")) == []
 
 
 def test_simulate_byte_identical_outputs(tmp_path):
@@ -196,6 +214,46 @@ def test_scenario_all_agrees_with_each_profile_run(tmp_path):
 
 def test_scenario_rejects_unknown_profile():
     assert dispatch(["scenario", "--profile", "fast-slow"]) == 1
+
+
+def test_limited_limited_scenario_charges_the_analytic_costs(tmp_path, capsys):
+    # both channels limited is the model as configured: model 3 pinned at 0.5
+    # costs what `analyze --exponent 0.5` prints for the same config
+    out = tmp_path / "scen.csv"
+    cfg = run(tmp_path, f"mode = contention\nmodel3_exponent = 0.5\noutput = {out}\n")
+    assert dispatch(["scenario", "--profile", "limited-limited", "--config", cfg]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+    assert [row[1] for row in rows] == ["1", "10", "100", "1000", "10000"]
+    capsys.readouterr()
+    for row in rows:
+        assert dispatch(["analyze", "--mass", row[1], "--exponent", "0.5", "--config", cfg]) == 0
+        printed = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert row[5] == printed["t_total"]
+
+
+@pytest.mark.parametrize("key, refused, runs", [
+    ("contention_coefficient", ["limited-unlimited", "all"], ["unlimited-unlimited"]),
+    ("contact_latency", ["unlimited-limited", "limited-limited", "all"],
+     ["unlimited-unlimited", "limited-unlimited"]),
+])
+def test_scenario_refuses_a_limited_channel_without_cost(tmp_path, capsys, key, refused, runs):
+    out = tmp_path / "scen.csv"
+    cfg = run(tmp_path, f"{key} = 0\noutput = {out}\n")
+    for profile in refused:
+        assert dispatch(["scenario", "--profile", profile, "--config", cfg]) == 1
+        assert f"needs {key} > 0 on its limited channel, got 0.0" in one_line_error(capsys)
+        assert not out.exists()
+    for profile in runs:
+        assert dispatch(["scenario", "--profile", profile, "--config", cfg]) == 0
+        out.unlink()
+
+
+@pytest.mark.parametrize("key", ["limited_rho", "limited_lambda"])
+def test_deleted_scenario_cost_keys_are_unknown(tmp_path, capsys, key):
+    cfg = run(tmp_path, f"{key} = 0.1\noutput = {tmp_path / 'scen.csv'}\n")
+    assert dispatch(["scenario", "--profile", "all", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: line 1: key '{key}': unknown key\n"
+    assert not (tmp_path / "scen.csv").exists()
 
 
 def test_write_csv_header_only_and_determinism(tmp_path):

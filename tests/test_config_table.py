@@ -17,7 +17,7 @@ KEY_ORDER = [
     "body_volume_coefficient", "recruitment_composition",
     "exponent", "base_hub_count", "base_hub_size", "dimension",
     "masses", "exponents", "mode", "movement", "trials", "seed", "output", "detectors",
-    "walk_step", "grid_resolution", "limited_rho", "limited_lambda", "model3_exponent", "site",
+    "walk_step", "grid_resolution", "model3_exponent", "site",
 ]
 
 OWNER_KEYS = [
@@ -53,8 +53,6 @@ BAD_VALUES = {
     "detectors": ["0", "-3"],
     "walk_step": ["0", "-1", "nan", "inf"],
     "grid_resolution": ["0", "1.5", "nan"],
-    "limited_rho": ["0", "nan"],
-    "limited_lambda": ["0", "nan"],
     "model3_exponent": ["1.7", "-0.1", "nan", "random"],
     "site": ["0.5 0.5 0.5", "0.5", ",", "0.5 x", "auto"],
 }
@@ -148,8 +146,6 @@ def run_configs(draw):
         detectors=draw(st.integers(1, 1000)),
         walk_step=draw(positive()),
         grid_resolution=draw(positive(1.0)),
-        limited_rho=draw(positive()),
-        limited_lambda=draw(positive()),
         model3_exponent=draw(st.none() | st.floats(0.0, 1.0)),
         site=draw(st.none() | st.tuples(*[coordinate] * arch.dimension)),
     )

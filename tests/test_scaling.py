@@ -176,13 +176,14 @@ def test_default_output_calibration():
 def test_timing_breakdown_sums_exactly():
     bd = TimingBreakdown(0.1, 0.2, 0.3)
     assert bd.t_total == 0.1 + 0.2 + 0.3
+    assert bd.t_total != 0.6  # the exact float sum, not the decimal one
     with pytest.raises(ValueError):
         TimingBreakdown(-0.1, 0.0, 0.0)
     for nan_at in range(3):
         with pytest.raises(ValueError, match="must be >= 0, got nan"):
             TimingBreakdown(*(math.nan if i == nan_at else 0.0 for i in range(3)))
-    with pytest.raises(ValueError):
-        TimingBreakdown(0.1, 0.2, 0.3, t_total=0.7)
+    with pytest.raises(TypeError, match="t_total"):  # derived, never an input
+        TimingBreakdown(0.1, 0.2, 0.3, t_total=0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the bandwidth-regime harness and architecture rankings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,11 @@ MASSES = [10.0, 100.0, 1000.0, 10000.0]
 def test_profile_validation():
     with pytest.raises(ValueError):
         ScenarioProfile("limited", "congested")
-    with pytest.raises(ValueError):
-        ScenarioProfile("limited", "limited", limited_rho=0.0)
+    # a limited channel costs the model's own cost, which must be > 0
+    with pytest.raises(ValueError, match=r"^profile limited-limited needs contention_coefficient "
+                                         r"> 0 on its limited channel, got 0\.0$"):
+        profile_from_name("limited-limited").effective_params(
+            ModelParams(contention_coefficient=0.0))
     with pytest.raises(ValueError):
         profile_from_name("limited")
     profile = profile_from_name("limited-unlimited")
@@ -28,11 +33,24 @@ def test_profile_validation():
 
 
 def test_effective_params_zero_unconstrained_channels():
-    p = ModelParams()
+    p = ModelParams(contention_coefficient=0.3, contact_latency=0.7)
     free = profile_from_name("unlimited-unlimited").effective_params(p)
     assert free.contention_coefficient == 0.0 and free.contact_latency == 0.0
-    tight = ScenarioProfile("limited", "limited", 0.3, 0.7).effective_params(p)
-    assert tight.contention_coefficient == 0.3 and tight.contact_latency == 0.7
+    tight = profile_from_name("limited-limited").effective_params(p)
+    assert tight == p  # both channels limited: the model as configured
+    detector = profile_from_name("limited-unlimited").effective_params(p)
+    assert detector.contention_coefficient == 0.3 and detector.contact_latency == 0.0
+    hub = profile_from_name("unlimited-limited").effective_params(p)
+    assert hub.contention_coefficient == 0.0 and hub.contact_latency == 0.7
+
+
+def test_infinite_contact_latency_turns_recruitment_off():
+    # a hub-limited profile keeps contact_latency = inf: recruitment is off
+    p = ModelParams(contact_latency=math.inf)
+    assert not profile_from_name("limited-limited").effective_params(p).recruitment_enabled
+    verdict = evaluate_scenario(profile_from_name("unlimited-limited"), [100.0], p,
+                                model3_exponent=0.5)
+    assert all(bd.t_recruit == 0.0 for bd in verdict.per_mass[0].breakdowns.values())
 
 
 def test_free_channels_tie_every_mass():
@@ -90,9 +108,8 @@ def test_scenario_table_reproduces_regime_mapping():
 def test_table_invariant_under_joint_cost_rescaling():
     base = scenario_table(ModelParams(), MASSES)
     for scale in (0.5, 2.0, 10.0):
-        scaled = scenario_table(ModelParams(), MASSES,
-                                limited_rho=0.1 * scale, limited_lambda=0.1 * scale)
-        assert scaled == base
+        p = ModelParams(contention_coefficient=0.1 * scale, contact_latency=0.2 * scale)
+        assert scenario_table(p, MASSES) == base
 
 
 def test_baseline_mass_ties_everything():
@@ -119,11 +136,12 @@ def test_rank_monotone_in_channel_costs():
             ranks.append(totals.index(v.breakdowns[model].t_total))
         return ranks
 
-    p = ModelParams()
+    both = ScenarioProfile("limited", "limited")
     # raising the detector-channel cost never improves the non-modular rank
     previous = None
     for rho in (0.05, 0.1, 0.5, 2.0):
-        verdict = evaluate_scenario(ScenarioProfile("limited", "limited", rho, 0.1), MASSES, p)
+        p = ModelParams(contention_coefficient=rho, contact_latency=0.1)
+        verdict = evaluate_scenario(both, MASSES, p)
         current = rank(verdict, "model2")
         if previous is not None:
             assert all(c >= b for b, c in zip(previous, current))
@@ -131,7 +149,8 @@ def test_rank_monotone_in_channel_costs():
     # raising the hub-channel cost never improves the fully modular rank
     previous = None
     for lam in (0.05, 0.1, 0.5, 2.0):
-        verdict = evaluate_scenario(ScenarioProfile("limited", "limited", 0.1, lam), MASSES, p)
+        p = ModelParams(contention_coefficient=0.1, contact_latency=lam)
+        verdict = evaluate_scenario(both, MASSES, p)
         current = rank(verdict, "model1")
         if previous is not None:
             assert all(c >= b for b, c in zip(previous, current))

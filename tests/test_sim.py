@@ -1,6 +1,7 @@
 """Tests for the discrete-event world: tiling, phases, determinism."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -271,6 +272,50 @@ def test_detection_mean_matches_geometry_oracle():
     predicted = mean_center_distance(2) * dr_extent(M, spec, p) / p.detector_speed
     stderr = times.std(ddof=1) / math.sqrt(len(times))
     assert abs(times.mean() - predicted) < 3.0 * stderr
+
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def box_mean_center_distance(half_widths):
+    # mean distance from a uniform point of the box prod [-h_k, h_k] to its
+    # center: by symmetry that of the orthant prod [0, h_k], whose kink at
+    # the center sits on a corner, by a 64-node Gauss-Legendre tensor rule
+    axes = np.meshgrid(*[h * (_GAUSS_NODES + 1.0) / 2.0 for h in half_widths], indexing="ij")
+    weights = functools.reduce(np.multiply.outer, [_GAUSS_WEIGHTS / 2.0] * len(half_widths))
+    return float(np.sum(weights * np.sqrt(sum(x * x for x in axes))))
+
+
+def rounded_world_detection(world):
+    # straight detection time of the world as tiled: the volume-weighted mean,
+    # over its regions, of each box's mean center distance, over v
+    lower, upper = region_boxes(world)
+    sizes, counts = np.unique(upper - lower, axis=0, return_counts=True)
+    volumes = counts * np.prod(sizes, axis=1)
+    means = [box_mean_center_distance(size / 2.0) for size in sizes]
+    return float(np.dot(volumes, means) / volumes.sum()) / world.params.detector_speed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_quadrature_matches_the_closed_form_on_the_unit_cube(d):
+    assert abs(box_mean_center_distance([0.5] * d) - mean_center_distance(d)) < 1e-11
+
+
+# log-spaced masses nobody picked, with n = 2, 3, primes and 178 = 89 x 2
+# regions among them, a few d = 3 worlds, and the paper's 25000x system
+@pytest.mark.parametrize("M, a, d", [(10.0 ** (k / 4), 1.0, 2) for k in range(1, 17)]
+                         + [(7.0, 1.0, 3), (12.0, 1.0, 3), (30.0, 1.0, 3), (25000.0, 0.5, 2)])
+def test_straight_detection_matches_the_rounded_world_oracle(M, a, d):
+    spec, p = arch(a=a, d=d), ModelParams()
+    times = []
+    for seed in range(1000):
+        world = build_world(M, spec, p, seed=seed)
+        spawn_infection(world)
+        times.append(run_detection(world)[0])
+    stderr = np.std(times, ddof=1) / math.sqrt(len(times))
+    # the oracle, not the continuous law: strip tilings sit far from the law
+    # (M = 25000, a = 0.5 tiles 79 x 2: oracle 19.79 against the law's 4.81)
+    assert abs(np.mean(times) - rounded_world_detection(world)) < 4.0 * stderr
 
 
 def test_random_walk_slower_than_straight_on_average():
