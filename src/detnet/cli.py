@@ -22,13 +22,7 @@ from detnet.scaling import (
     sweep,
     total_response_time,
 )
-from detnet.scenarios import (
-    PROFILE_NAMES,
-    ScenarioVerdict,
-    evaluate_scenario,
-    profile_from_name,
-    scenario_table,
-)
+from detnet.scenarios import PROFILE_NAMES, evaluate_scenario, profile_from_name, scenario_table
 from detnet.sim import EventRecord, simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
@@ -177,23 +171,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _scenario_verdict(cfg: RunConfig, name: str) -> ScenarioVerdict:
-    """One profile under the config, as the single-profile output reports it."""
-    return evaluate_scenario(profile_from_name(name), cfg.masses, cfg.params,
-                             model3_exponent=cfg.model3_exponent,
-                             arch=cfg.arch, grid_resolution=cfg.grid_resolution)
-
-
 def _cmd_scenario(args) -> int:
     cfg = _load_config(args)
     if args.profile == "all":
         table = scenario_table(cfg.params, cfg.masses, cfg.arch, cfg.grid_resolution,
-                               model3_exponent=cfg.model3_exponent)
+                               model3_exponent=cfg.model3_exponent, mode=cfg.mode)
         lines = ["profile,winner"] + [f"{name},{winner}" for name, winner in table]
         for name, winner in table:
             print(f"{name}: {winner}")
     else:
-        verdict = _scenario_verdict(cfg, args.profile)
+        verdict = evaluate_scenario(profile_from_name(args.profile), cfg.masses, cfg.params,
+                                    cfg.model3_exponent, cfg.arch, cfg.grid_resolution, cfg.mode)
         lines = ["profile,M,winner,model1_total,model2_total,model3_total,model3_exponent"]
         for v in verdict.per_mass:
             totals = [v.breakdowns[m].t_total for m in ("model1", "model2", "model3")]

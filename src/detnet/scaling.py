@@ -500,8 +500,13 @@ def _cached_terms(M, resolution, *fields):
     return _grid_terms(M, exponent_grid(resolution), *fields)
 
 
-def _grid_pass(M, arch, params, mode, a, resolution=None):
-    # (grid, *phases) over the float64 grid a, or cached over exponent_grid(resolution)
+def _grid_pass(M, arch, params, mode, a=None, resolution=None):
+    # (grid, *phases) over the float64 grid a, or over exponent_grid(resolution),
+    # whose terms are cached when it has at most _MEMO_BUDGET points (by the
+    # test exponent_grid applies to MAX_GRID_POINTS)
+    cached = a is None and resolution > 0.0 and 1.0 / resolution <= _MEMO_BUDGET - 1
+    if a is None and not cached:
+        a = exponent_grid(resolution)
     M = _positive_mass(M)
     check_feasible(arch, params)
     _require_mode(mode)
@@ -510,8 +515,8 @@ def _grid_pass(M, arch, params, mode, a, resolution=None):
     fields = (arch.base_hub_count, arch.base_hub_size, params.cognate_frequency,
               params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
               params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
-    a, continuous, units, t_expand = _grid_terms(M, a, *fields) if a is not None else \
-        _cached_terms(M, resolution, *fields)
+    a, continuous, units, t_expand = _cached_terms(M, resolution, *fields) if cached else \
+        _grid_terms(M, a, *fields)
     with np.errstate(all="ignore"):
         if mode == "spatial":
             volume = params.body_volume_coefficient * M / continuous
@@ -537,11 +542,8 @@ def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
     """
     if arch is None:
         arch = ArchitectureSpec()
-    # at most _MEMO_BUDGET points, by the test exponent_grid applies to MAX_GRID_POINTS
-    cached = grid_resolution > 0.0 and 1.0 / grid_resolution <= _MEMO_BUDGET - 1
     grid, t_detect, t_recruit, t_expand, t_total = _grid_pass(
-        M, arch, params, mode, None if cached else exponent_grid(grid_resolution),
-        grid_resolution)
+        M, arch, params, mode, resolution=grid_resolution)
     best = int(np.argmin(t_total))
     return float(grid[best]), TimingBreakdown(float(t_detect[best]), float(t_recruit[best]),
                                               float(t_expand[best]))

@@ -1,23 +1,28 @@
 """Bandwidth-constraint regimes and architecture rankings.
 
 Two channels can each be limited or unlimited: the detector-to-hub channel
-(congestion charged per detector sharing a hub) and the hub-to-hub channel
-(latency charged per peer contacted). For each of the four regimes the
-harness evaluates the fully modular (a=1), non-modular (a=0) and sub-modular
+(travel at `detector_speed` in spatial mode, congestion charged per detector
+sharing a hub in contention mode) and the hub-to-hub channel (latency
+charged per peer contacted). For each of the four regimes the harness
+evaluates the fully modular (a=1), non-modular (a=0) and sub-modular
 (optimized or fixed interior exponent) architectures over a mass range and
-names the per-mass and overall winners.
+names the per-mass and overall winners. All three are read off one grid
+pass per mass: a = 0 and a = 1 are the grid's endpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from detnet.scaling import (
     ArchitectureSpec,
     ModelParams,
     TimingBreakdown,
-    optimal_exponent,
-    total_response_time,
+    _grid_pass,
+    _require_mode,
 )
 
 __all__ = [
@@ -52,8 +57,10 @@ class ScenarioProfile:
     """Which communication channels are bandwidth-limited.
 
     A limited channel costs what the model charges for it (the detector
-    channel `contention_coefficient`, the hub channel `contact_latency`); an
-    unlimited channel costs nothing.
+    channel `detector_speed` in spatial mode or `contention_coefficient` in
+    contention mode, the hub channel `contact_latency`); an unlimited channel
+    costs nothing, which for the detector channel in spatial mode is an
+    infinite speed.
     """
 
     detector_channel: str
@@ -69,15 +76,20 @@ class ScenarioProfile:
     def name(self) -> str:
         return f"{self.detector_channel}-{self.hub_channel}"
 
-    def effective_params(self, params: ModelParams) -> ModelParams:
+    def effective_params(self, params: ModelParams, mode: str = "contention") -> ModelParams:
+        _require_mode(mode)
+        # per channel: the field that prices it, the value that makes it free
+        # (the only value ModelParams accepts that costs nothing) and its bound
+        detector = ("detector_speed", math.inf, "< inf") if mode == "spatial" else \
+            ("contention_coefficient", 0.0, "> 0")
         costs = {}
-        for key, channel in (("contention_coefficient", self.detector_channel),
-                             ("contact_latency", self.hub_channel)):
+        for (key, free, bound), channel in ((detector, self.detector_channel),
+                                            (("contact_latency", 0.0, "> 0"), self.hub_channel)):
             cost = getattr(params, key)
-            if channel == "limited" and not cost > 0.0:
-                raise ValueError(f"profile {self.name} needs {key} > 0 on its limited "
+            if channel == "limited" and cost == free:
+                raise ValueError(f"profile {self.name} needs {key} {bound} on its limited "
                                  f"channel, got {cost!r}")
-            costs[key] = cost if channel == "limited" else 0.0
+            costs[key] = cost if channel == "limited" else free
         return replace(params, **costs)
 
 
@@ -122,34 +134,32 @@ def _overall(winners: list[str]) -> str:
 def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
                       model3_exponent: float | None = None,
                       arch: ArchitectureSpec | None = None,
-                      grid_resolution: float = 0.01) -> ScenarioVerdict:
+                      grid_resolution: float = 0.01,
+                      mode: str = "contention") -> ScenarioVerdict:
     """Rank the three architectures under one bandwidth regime.
 
-    Evaluation runs in contention mode (the detector channel is a shared
-    queue, not a travel distance) with the hub channel charged through the
-    contact latency. model3_exponent None means the sub-modular exponent is
-    optimized per mass; a float pins it for reproducible fixtures.
+    Each mass is one grid pass in `mode`, with the profile's channel costs.
+    model3_exponent None means the sub-modular exponent is optimized over
+    `optimal_exponent`'s grid, whose first and last points are models 2
+    and 1; a float pins it for reproducible fixtures, on the grid [0, a, 1].
     """
     if len(M_list) == 0:  # lists or arrays
         raise ValueError("M_list must be non-empty")
     if arch is None:
         arch = ArchitectureSpec()
-    effective = profile.effective_params(params)
+    effective = profile.effective_params(params, mode)
+    # with_exponent raises the spec's range error for a pinned exponent
+    grid = None if model3_exponent is None else \
+        np.array([0.0, arch.with_exponent(model3_exponent).exponent, 1.0])
 
     per_mass = []
     for M in M_list:
-        breakdowns = {
-            "model1": total_response_time(M, arch.with_exponent(1.0), effective, "contention"),
-            "model2": total_response_time(M, arch.with_exponent(0.0), effective, "contention"),
-        }
-        if model3_exponent is None:
-            a3, bd3 = optimal_exponent(M, effective, "contention", grid_resolution, arch)
-        else:
-            a3 = model3_exponent
-            bd3 = total_response_time(M, arch.with_exponent(a3), effective, "contention")
-        breakdowns["model3"] = bd3
+        a, *phases, t_total = _grid_pass(M, arch, effective, mode, grid, grid_resolution)
+        best = int(np.argmin(t_total)) if grid is None else 1
+        breakdowns = {name: TimingBreakdown(*(float(x[i]) for x in phases))
+                      for name, i in zip(MODEL_NAMES, (-1, 0, best))}
         winner = _pick_winner({name: bd.t_total for name, bd in breakdowns.items()})
-        per_mass.append(MassVerdict(float(M), winner, breakdowns, float(a3)))
+        per_mass.append(MassVerdict(float(M), winner, breakdowns, float(a[best])))
 
     overall = _overall([v.winner for v in per_mass])
     return ScenarioVerdict(profile, tuple(per_mass), overall)
@@ -158,13 +168,14 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
 def scenario_table(params: ModelParams, M_list,
                    arch: ArchitectureSpec | None = None,
                    grid_resolution: float = 0.01,
-                   model3_exponent: float | None = None) -> list[tuple[str, str]]:
+                   model3_exponent: float | None = None,
+                   mode: str = "contention") -> list[tuple[str, str]]:
     """Overall winner per regime, one row per profile in canonical order;
-    model3_exponent as in `evaluate_scenario`."""
+    model3_exponent and mode as in `evaluate_scenario`."""
     rows = []
     for name in PROFILE_NAMES:
         verdict = evaluate_scenario(profile_from_name(name), M_list, params,
                                     model3_exponent=model3_exponent, arch=arch,
-                                    grid_resolution=grid_resolution)
+                                    grid_resolution=grid_resolution, mode=mode)
         rows.append((name, verdict.overall_winner))
     return rows

@@ -216,11 +216,12 @@ def test_scenario_rejects_unknown_profile():
     assert dispatch(["scenario", "--profile", "fast-slow"]) == 1
 
 
-def test_limited_limited_scenario_charges_the_analytic_costs(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["contention", "spatial"])
+def test_limited_limited_scenario_charges_the_analytic_costs(tmp_path, capsys, mode):
     # both channels limited is the model as configured: model 3 pinned at 0.5
     # costs what `analyze --exponent 0.5` prints for the same config
     out = tmp_path / "scen.csv"
-    cfg = run(tmp_path, f"mode = contention\nmodel3_exponent = 0.5\noutput = {out}\n")
+    cfg = run(tmp_path, f"mode = {mode}\nmodel3_exponent = 0.5\noutput = {out}\n")
     assert dispatch(["scenario", "--profile", "limited-limited", "--config", cfg]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
     assert [row[1] for row in rows] == ["1", "10", "100", "1000", "10000"]
@@ -235,13 +236,19 @@ def test_limited_limited_scenario_charges_the_analytic_costs(tmp_path, capsys):
     ("contention_coefficient", ["limited-unlimited", "all"], ["unlimited-unlimited"]),
     ("contact_latency", ["unlimited-limited", "limited-limited", "all"],
      ["unlimited-unlimited", "limited-unlimited"]),
+    ("detector_speed", ["limited-unlimited", "all"], ["unlimited-unlimited"]),
 ])
 def test_scenario_refuses_a_limited_channel_without_cost(tmp_path, capsys, key, refused, runs):
+    # a free channel: rho = 0, which only contention mode reads; lambda = 0;
+    # or v = inf, which only spatial mode (the default) reads
+    value, bound = ("inf", "< inf") if key == "detector_speed" else ("0", "> 0")
+    mode = "mode = contention\n" if key == "contention_coefficient" else ""
     out = tmp_path / "scen.csv"
-    cfg = run(tmp_path, f"{key} = 0\noutput = {out}\n")
+    cfg = run(tmp_path, f"{mode}{key} = {value}\noutput = {out}\n")
     for profile in refused:
         assert dispatch(["scenario", "--profile", profile, "--config", cfg]) == 1
-        assert f"needs {key} > 0 on its limited channel, got 0.0" in one_line_error(capsys)
+        assert f"needs {key} {bound} on its limited channel, got {float(value)!r}" in \
+            one_line_error(capsys)
         assert not out.exists()
     for profile in runs:
         assert dispatch(["scenario", "--profile", profile, "--config", cfg]) == 0

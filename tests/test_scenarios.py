@@ -1,11 +1,13 @@
 """Tests for the bandwidth-regime harness and architecture rankings."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from detnet.scaling import ArchitectureSpec, ModelParams
+from detnet.scaling import ArchitectureSpec, ModelParams, optimal_exponent, total_response_time
 from detnet.scenarios import (
     PROFILE_NAMES,
     ScenarioProfile,
@@ -27,6 +29,8 @@ def test_profile_validation():
             ModelParams(contention_coefficient=0.0))
     with pytest.raises(ValueError):
         profile_from_name("limited")
+    with pytest.raises(ValueError, match="unknown detection mode"):
+        profile_from_name("limited-limited").effective_params(ModelParams(), "walk")
     profile = profile_from_name("limited-unlimited")
     assert profile.detector_channel == "limited" and profile.hub_channel == "unlimited"
     assert profile.name == "limited-unlimited"
@@ -42,6 +46,11 @@ def test_effective_params_zero_unconstrained_channels():
     assert detector.contention_coefficient == 0.3 and detector.contact_latency == 0.0
     hub = profile_from_name("unlimited-limited").effective_params(p)
     assert hub.contention_coefficient == 0.0 and hub.contact_latency == 0.7
+    # spatial mode prices the detector channel by v, and frees it with v = inf
+    p = replace(p, detector_speed=2.5)
+    assert profile_from_name("limited-limited").effective_params(p, "spatial") == p
+    free = profile_from_name("unlimited-limited").effective_params(p, "spatial")
+    assert free == replace(p, detector_speed=math.inf)
 
 
 def test_infinite_contact_latency_turns_recruitment_off():
@@ -155,6 +164,39 @@ def test_rank_monotone_in_channel_costs():
         if previous is not None:
             assert all(c >= b for b, c in zip(previous, current))
         previous = current
+
+
+@pytest.mark.parametrize("pinned", [1.5, math.nan])
+def test_pinned_model3_exponent_outside_the_unit_interval_is_refused(pinned):
+    with pytest.raises(ValueError, match=rf"^exponent must be in \[0, 1\], got {pinned}$"):
+        evaluate_scenario(profile_from_name("limited-limited"), MASSES, ModelParams(), pinned)
+
+
+def bits(bd):
+    return tuple(t.hex() for t in (bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total))
+
+
+@pytest.mark.parametrize("mode", ["spatial", "contention"])
+@pytest.mark.parametrize("params", [
+    ModelParams(), ModelParams(contact_latency=math.inf, recruitment_composition="parallel")])
+def test_each_mass_is_the_scalar_law_and_the_optimizer_bit_for_bit(params, mode):
+    # models 1 and 2 and a pinned model 3 equal the scalar law at a = 1, 0
+    # and a3; an optimised model 3 equals optimal_exponent's (a*, breakdown)
+    masses = [1e-3, 2.0, 13.0, 25000.0]
+    for name, d, grid, pinned in itertools.product(PROFILE_NAMES, (1, 2, 3),
+                                                   (0.01, 0.03, 1 / 3), (None, 0.37)):
+        profile, base = profile_from_name(name), ArchitectureSpec(dimension=d)
+        effective = profile.effective_params(params, mode)
+        verdict = evaluate_scenario(profile, masses, params, pinned, base, grid, mode)
+        for M, v in zip(masses, verdict.per_mass):
+            a3, bd3 = optimal_exponent(M, effective, mode, grid, base) if pinned is None else \
+                (pinned, total_response_time(M, base.with_exponent(pinned), effective, mode))
+            expected = {"model1": total_response_time(M, base.with_exponent(1.0), effective, mode),
+                        "model2": total_response_time(M, base.with_exponent(0.0), effective, mode),
+                        "model3": bd3}
+            assert v.model3_exponent.hex() == a3.hex()
+            assert {k: bits(bd) for k, bd in v.breakdowns.items()} == \
+                {k: bits(bd) for k, bd in expected.items()}
 
 
 def test_scenario_rejects_empty_mass_list():
