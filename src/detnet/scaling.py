@@ -33,7 +33,6 @@ __all__ = [
     "RECRUITMENT_DISABLED",
     "MAX_GRID_POINTS",
     "mean_center_distance",
-    "antibody_requirement",
     "output_target",
     "hub_count",
     "hub_size",
@@ -103,7 +102,7 @@ class ArchitectureSpec:
         return replace(self, exponent=a)
 
 
-def _calibrated_antibody_coefficient(plasma_yield, bcrit_coefficient, doubling_time):
+def _calibrated_antibody_coefficient(bcrit_coefficient, doubling_time):
     # Output target per unit mass such that expanding from the critical pool
     # B_crit = bcrit * M always takes BASELINE_RESPONSE_TIME, whatever M.
     try:
@@ -112,7 +111,7 @@ def _calibrated_antibody_coefficient(plasma_yield, bcrit_coefficient, doubling_t
         raise ValueError(f"doubling_time is too short to calibrate antibody_coefficient: "
                          f"2**({BASELINE_RESPONSE_TIME:g}/doubling_time) overflows, "
                          f"got {doubling_time}") from None
-    return plasma_yield * bcrit_coefficient * growth
+    return bcrit_coefficient * growth
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class ModelParams:
     antibody_coefficient:     output units required per unit mass; None means
                               calibrated so expansion from the critical pool
                               takes BASELINE_RESPONSE_TIME at every M
-    plasma_yield:             output units produced per activated responder
     doubling_time:            responder population doubling period
     detector_speed:           detector travel speed
     contact_latency:          time per peer hub contacted during recruitment
@@ -139,7 +137,6 @@ class ModelParams:
     cognate_frequency: float = 1.0e-6
     bcrit_coefficient: float = 1.0
     antibody_coefficient: float | None = None
-    plasma_yield: float = 1.0
     doubling_time: float = 1.0
     detector_speed: float = 1.0
     contact_latency: float = 0.2
@@ -151,7 +148,6 @@ class ModelParams:
         for name in (
             "cognate_frequency",
             "bcrit_coefficient",
-            "plasma_yield",
             "doubling_time",
             "detector_speed",
             "body_volume_coefficient",
@@ -165,11 +161,8 @@ class ModelParams:
             object.__setattr__(
                 self,
                 "antibody_coefficient",
-                _calibrated_antibody_coefficient(
-                    self.plasma_yield, self.bcrit_coefficient, self.doubling_time
-                ),
+                _calibrated_antibody_coefficient(self.bcrit_coefficient, self.doubling_time),
             )
-        # also a calibrated coefficient, which underflows to 0 on tiny inputs
         if not self.antibody_coefficient > 0.0:
             raise ValueError(f"antibody_coefficient must be > 0, got {self.antibody_coefficient}")
         for name in ("antibody_coefficient", "contact_latency", "contention_coefficient"):
@@ -254,24 +247,26 @@ def mean_center_distance(dimension: int) -> float:
 # scaling laws
 # ---------------------------------------------------------------------------
 
-def antibody_requirement(M: float, params: ModelParams) -> float:
-    """Output units required at mass M: antibody_coefficient * M.
+def output_target(M: float, params: ModelParams) -> float:
+    """Output the activated responders must reach at mass M,
+    antibody_coefficient * M; a target that overflows is refused.
 
     A system 25000x the baseline needs 25000x the absolute output to hold the
     same output concentration in a volume proportional to M.
     """
-    M = _positive_mass(M)
-    return params.antibody_coefficient * M
-
-
-def output_target(M: float, params: ModelParams) -> float:
-    """Activated responders' output target at mass M, antibody_requirement over
-    plasma_yield; a target that overflows is refused."""
-    target = antibody_requirement(M, params) / params.plasma_yield
+    target = params.antibody_coefficient * _positive_mass(M)
     if not math.isfinite(target):
-        raise ValueError(f"output target antibody_coefficient*M/plasma_yield = {target} "
-                         f"is not finite at M={M}")
+        raise ValueError(f"output target antibody_coefficient*M = {target} is not finite at M={M}")
     return target
+
+
+def _body_volume(M: float, body_volume_coefficient: float) -> float:
+    # the domain volume c_v * M, refused unless it is finite and > 0
+    volume = body_volume_coefficient * M
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"body volume body_volume_coefficient*M = {volume} at M={M} "
+                         f"must be finite and > 0")
+    return volume
 
 
 def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
@@ -302,7 +297,7 @@ def dr_extent(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
     """
     M = _positive_mass(M)
     continuous, _ = hub_count(M, arch)
-    volume = params.body_volume_coefficient * M / continuous
+    volume = _body_volume(M, params.body_volume_coefficient) / continuous
     return volume ** (1.0 / arch.dimension)
 
 
@@ -449,7 +444,7 @@ def _libm(func, *operands) -> np.ndarray:
                                    for x in operands)), dtype=float)
 
 
-def _grid_terms(M, a, n0, s0, f, bcrit, antibody, plasma_yield, doubling_time, recruits,
+def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
                 composition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The terms of `total_response_time` that no detection input reads, as
     read-only arrays over the float64 grid `a`: a, the continuous hub count,
@@ -481,12 +476,12 @@ def _grid_terms(M, a, n0, s0, f, bcrit, antibody, plasma_yield, doubling_time, r
         else:
             units = np.zeros_like(a)
             pool = np.where(needed < local, needed, local)
-        target = antibody * M / plasma_yield
+        target = antibody * M
         ok &= (pool > 0.0) & (target > 0.0) & (target < math.inf)
         for i in np.flatnonzero(~ok):
             # the scalar error at the first refused point; none names a field left out
             total_response_time(M, ArchitectureSpec(float(a[i]), n0, s0), ModelParams(
-                f, bcrit, antibody, plasma_yield, doubling_time, recruitment_composition=composition,
+                f, bcrit, antibody, doubling_time, recruitment_composition=composition,
                 contact_latency=0.0 if recruits else RECRUITMENT_DISABLED), "contention")
         t_expand = doubling_time * _libm(math.log2, target / pool)
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
@@ -510,17 +505,18 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
     M = _positive_mass(M)
     check_feasible(arch, params)
     _require_mode(mode)
+    # the scalar path refuses the body volume before any recruitment or target error
+    volume = _body_volume(M, params.body_volume_coefficient) if mode == "spatial" else None
     # every input of the terms but M and the grid, and nothing else: the
     # dimension, mode, rho, lambda's finite value, v and c_v stay out
     fields = (arch.base_hub_count, arch.base_hub_size, params.cognate_frequency,
-              params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
-              params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
+              params.bcrit_coefficient, params.antibody_coefficient, params.doubling_time,
+              params.recruitment_enabled, params.recruitment_composition)
     a, continuous, units, t_expand = _cached_terms(M, resolution, *fields) if cached else \
         _grid_terms(M, a, *fields)
     with np.errstate(all="ignore"):
         if mode == "spatial":
-            volume = params.body_volume_coefficient * M / continuous
-            extent = _libm(pow, volume, 1.0 / arch.dimension)
+            extent = _libm(pow, volume / continuous, 1.0 / arch.dimension)
             t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
         else:
             t_detect = params.contention_coefficient * M / continuous

@@ -22,11 +22,12 @@ from detnet.scaling import (
     ModelParams,
     TimingBreakdown,
     activated_pool,
-    antibody_requirement,
     check_feasible,
+    expansion_time,
     hub_count,
     output_target,
     recruitment_demand,
+    _body_volume,
     _positive_mass,
 )
 
@@ -189,7 +190,7 @@ def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) ->
             f"(its hub arrays would need about {2 * 8 * d * rounded / 1e6:.0f} MB)"
         )
     # floats whatever the caller's scalar types, so a memo hit returns what a build would
-    extent = float((body_volume_coefficient * M) ** (1.0 / d))
+    extent = float(_body_volume(M, body_volume_coefficient) ** (1.0 / d))
     shape = _grid_shape(rounded, d)
     widths = extent / np.asarray(shape, dtype=float)
     cells = np.indices(shape, dtype=np.int64).reshape(d, -1).T  # row i: grid index of hub i
@@ -366,11 +367,12 @@ def _expand(world: SimWorld) -> float:
         raise SimulationInvariantError("run_expansion called before recruitment completed")
     params = world.params
     start_time = world.clock
-    output_target(world.mass, params)  # refuses a target that overflows
-    target = antibody_requirement(world.mass, params)
+    target = output_target(world.mass, params)  # refuses a target that overflows
+    if not (world.pool > 0.0 and target > 0.0):  # the law's refusal of an empty pool or target
+        expansion_time(world.pool, target, params.doubling_time)
     population = world.pool
     ticks = 0
-    while population * params.plasma_yield < target:
+    while population < target:
         ticks += 1
         population *= 2.0
         if ticks > 10_000:

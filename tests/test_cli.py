@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -361,15 +362,62 @@ def test_seed_flag_is_validated(tmp_path, capsys, command):
     (["sweep"], "masses = 1 1e308\n"),
     (["simulate"], "masses = 1.2e307\nexponent = 0\n"),
     (["scenario", "--profile", "all"], "masses = 1 1e308\n"),
-    (["scenario", "--profile", "limited-limited"], "masses = 1e10\nplasma_yield = 1e-300\n"
-                                                   "antibody_coefficient = 1\n"),
+    (["scenario", "--profile", "limited-limited"],
+     "masses = 1e10\nantibody_coefficient = 1e300\n"),
 ])
 def test_overflowing_output_target_exits_1(tmp_path, capsys, command, config):
-    # antibody_coefficient * M / plasma_yield = inf would print t_expand = inf,
+    # antibody_coefficient * M = inf would print t_expand = inf,
     # or double the simulated pool until it overflows
     cfg = run(tmp_path, config + f"output = {tmp_path / 'out.csv'}\n")
     assert dispatch([*command, "--config", cfg]) == 1
-    assert "output target antibody_coefficient*M/plasma_yield = inf" in one_line_error(capsys)
+    assert "output target antibody_coefficient*M = inf" in one_line_error(capsys)
+    assert list(tmp_path.glob("out.csv*")) == []
+
+
+def refused_quietly(tmp_path, capsys, argv, config):
+    # argv with config exits 1 with one error line, no warning and no file written
+    cfg = run(tmp_path, config + f"output = {tmp_path / 'out.csv'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch([*argv, "--config", cfg]) == 1
+    assert list(tmp_path.glob("out.csv*")) == []
+    return one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [["analyze", "--exponent", "0.5"], ["sweep"], ["simulate"],
+                                     ["scenario", "--profile", "unlimited-limited"],
+                                     ["scenario", "--profile", "all"]])
+@pytest.mark.parametrize("mass, c_v, volume", [("1e10", "1e300", "inf"),
+                                               ("1e-10", "5e-324", "0.0")])
+def test_body_volume_out_of_range_exits_1(tmp_path, capsys, command, mass, c_v, volume):
+    if command[0] == "analyze":
+        command = [*command, "--mass", mass]
+    err = refused_quietly(tmp_path, capsys, command,
+                          f"masses = {mass}\nbody_volume_coefficient = {c_v}\n")
+    assert f"body volume body_volume_coefficient*M = {volume} at M={float(mass)}" in err
+
+
+@pytest.mark.parametrize("mass, config, message", [
+    # bcrit * M underflows: the activated pool is 0
+    ("1e-200", "bcrit_coefficient = 1e-200\ndoubling_time = 0.01\n",
+     "B_initial must be > 0, got 0.0"),
+    # antibody_coefficient * M underflows: the output target is 0
+    ("1e-30", "antibody_coefficient = 1e-300\n", "B_target must be > 0, got 0.0"),
+])
+def test_simulate_refuses_what_analyze_refuses_in_expansion(tmp_path, capsys, mass, config,
+                                                            message):
+    config += f"masses = {mass}\n"
+    assert message in refused_quietly(tmp_path, capsys, ["simulate"], config)
+    assert message in refused_quietly(
+        tmp_path, capsys, ["analyze", "--mass", mass, "--exponent", "0.5"], config)
+
+
+@pytest.mark.parametrize("command", [["analyze", "--mass", "1", "--exponent", "0.5"],
+                                     ["sweep"], ["simulate"], ["scenario", "--profile", "all"]])
+def test_deleted_plasma_yield_key_is_unknown(tmp_path, capsys, command):
+    cfg = run(tmp_path, f"plasma_yield = 1\noutput = {tmp_path / 'out.csv'}\n")
+    assert dispatch([*command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: line 1: key 'plasma_yield': unknown key\n"
     assert list(tmp_path.glob("out.csv*")) == []
 
 

@@ -2,18 +2,18 @@
 validated by its owner, and emission round-trips."""
 
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from detnet.config import ConfigError, RunConfig, emit_config, parse_config
+from detnet.config import ConfigError, RunConfig, _build, emit_config, parse_config
 from detnet.scaling import ArchitectureSpec, ModelParams
 
 # the emission order the format has always had
 KEY_ORDER = [
-    "cognate_frequency", "bcrit_coefficient", "antibody_coefficient", "plasma_yield",
-    "doubling_time", "detector_speed", "contact_latency", "contention_coefficient",
+    "cognate_frequency", "bcrit_coefficient", "antibody_coefficient", "doubling_time",
+    "detector_speed", "contact_latency", "contention_coefficient",
     "body_volume_coefficient", "recruitment_composition",
     "exponent", "base_hub_count", "base_hub_size", "dimension",
     "masses", "exponents", "mode", "movement", "trials", "seed", "output", "detectors",
@@ -32,7 +32,6 @@ BAD_VALUES = {
     "cognate_frequency": ["0", "nan", "-1e-6", "x"],
     "bcrit_coefficient": ["0", "nan"],
     "antibody_coefficient": ["-1", "nan", "auto"],
-    "plasma_yield": ["0", "nan"],
     "doubling_time": ["-1", "nan", "fast", "1e-3"],
     "detector_speed": ["0", "nan"],
     "contact_latency": ["-0.1", "nan", "-inf"],
@@ -91,13 +90,23 @@ def test_owner_message_is_reported():
         parse_config("seed = 3\ndoubling_time = -1\n")
 
 
+@dataclass(frozen=True)
+class _Pair:
+    # an owner that accepts each field alone and refuses the two together
+    x: float = 0.0
+    y: float = 0.0
+
+    def __post_init__(self):
+        if self.x and self.y:
+            raise ValueError("x and y cannot both be set")
+
+
 def test_refusal_of_no_single_key_is_reported_without_one():
-    # each value alone is valid; together the calibrated antibody
-    # coefficient underflows to 0
     with pytest.raises(ConfigError) as err:
-        parse_config("plasma_yield = 5e-324\nbcrit_coefficient = 5e-324\n")
-    assert str(err.value) == "antibody_coefficient must be > 0, got 0.0"
+        _build(_Pair, {"x": 1.0, "y": 1.0}, {"x": 1, "y": 2})
+    assert str(err.value) == "x and y cannot both be set"
     assert (err.value.key, err.value.line) == (None, None)
+    assert _build(_Pair, {"x": 1.0}, {"x": 1}) == _Pair(1.0)
 
 
 def positive(max_value=1e12):
@@ -110,7 +119,6 @@ def run_configs(draw):
         cognate_frequency=draw(positive(1.0)),
         bcrit_coefficient=draw(positive(1e6)),
         antibody_coefficient=draw(st.none() | positive()),
-        plasma_yield=draw(positive(1e6)),
         # shorter doubling times overflow the calibrated antibody coefficient
         doubling_time=draw(st.floats(0.01, 100.0)),
         detector_speed=draw(positive()),
@@ -119,10 +127,7 @@ def run_configs(draw):
         body_volume_coefficient=draw(positive()),
         recruitment_composition=draw(st.sampled_from(["serial", "parallel"])),
     )
-    try:
-        params = ModelParams(**values)
-    except ValueError:  # the calibrated antibody coefficient underflowed to 0
-        assume(False)
+    params = ModelParams(**values)
     arch = ArchitectureSpec(
         exponent=draw(st.floats(0.0, 1.0)),
         base_hub_count=draw(st.floats(1.0, 1e12)),

@@ -21,7 +21,6 @@ from detnet.scaling import (
     RECRUITMENT_DISABLED,
     TimingBreakdown,
     activated_pool,
-    antibody_requirement,
     check_feasible,
     detection_time,
     dr_extent,
@@ -133,9 +132,11 @@ def test_nan_refused_by_owner(owner, name):
         owner(**{name: math.nan})
 
 
-def test_calibrated_antibody_coefficient_must_be_positive():
+def test_antibody_coefficient_must_be_positive():
     with pytest.raises(ValueError, match="^antibody_coefficient must be > 0, got 0.0$"):
-        ModelParams(plasma_yield=5e-324, bcrit_coefficient=5e-324)
+        ModelParams(antibody_coefficient=0.0)
+    # the calibrated coefficient is bcrit * 2^(4/tau) >= bcrit, so never 0
+    assert ModelParams(bcrit_coefficient=5e-324).antibody_coefficient >= 5e-324
 
 
 def test_calibration_overflow_names_doubling_time():
@@ -168,7 +169,7 @@ def test_default_output_calibration():
     p4 = ModelParams(doubling_time=4.0)
     assert p4.antibody_coefficient == 2.0
     for M in (1.0, 7.0, 25000.0):
-        target = antibody_requirement(M, p4) / p4.plasma_yield
+        target = output_target(M, p4)
         assert expansion_time(p4.bcrit_coefficient * M, target, 4.0) == pytest.approx(
             BASELINE_RESPONSE_TIME, rel=1e-12)
 
@@ -190,12 +191,12 @@ def test_timing_breakdown_sums_exactly():
 # scaling laws
 # ---------------------------------------------------------------------------
 
-def test_antibody_requirement_examples():
-    assert antibody_requirement(1.0, ModelParams(antibody_coefficient=1.0)) == 1.0
-    assert antibody_requirement(25000.0, ModelParams(antibody_coefficient=1.0)) == 25000.0
-    assert antibody_requirement(4.0, ModelParams(antibody_coefficient=2.5)) == 10.0
+def test_output_target_examples():
+    assert output_target(1.0, ModelParams(antibody_coefficient=1.0)) == 1.0
+    assert output_target(25000.0, ModelParams(antibody_coefficient=1.0)) == 25000.0
+    assert output_target(4.0, ModelParams(antibody_coefficient=2.5)) == 10.0
     with pytest.raises(ValueError):
-        antibody_requirement(0.0, ModelParams())
+        output_target(0.0, ModelParams())
 
 
 def test_hub_count_examples():
@@ -264,6 +265,20 @@ def test_dr_extent_examples():
     assert len(set(extents.values())) == 1
     assert dr_extent(100.0, arch(a=0.0), p) == pytest.approx(10.0, rel=1e-12)
     assert dr_extent(16.0, arch(a=0.5), p) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("M, c_v, volume", [(1e10, 1e300, "inf"), (1e-10, 5e-324, "0.0")])
+def test_body_volume_must_be_finite_and_positive(M, c_v, volume):
+    params = ModelParams(body_volume_coefficient=c_v)
+    message = f"body volume body_volume_coefficient*M = {volume} at M={M} must be finite and > 0"
+    for spatial in (lambda: dr_extent(M, arch(), params),
+                    lambda: total_response_time(M, arch(), params, "spatial"),
+                    lambda: optimal_exponent(M, params, "spatial")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spatial()
+    # contention mode never reads the volume
+    assert total_response_time(M, arch(), params, "contention").t_total >= 0.0
+    assert optimal_exponent(M, params, "contention")[1].t_total >= 0.0
 
 
 def test_mean_center_distance_against_independent_monte_carlo():
@@ -474,8 +489,8 @@ def test_expansion_additivity():
 def test_output_target_refuses_overflow():
     assert output_target(1e307, ModelParams()) == 16.0 * 1e307
     for M, params in ((1.2e307, ModelParams()), (1e10, ModelParams(antibody_coefficient=1e300)),
-                      (1.0, ModelParams(antibody_coefficient=1.0, plasma_yield=1e-310))):
-        message = "output target antibody_coefficient*M/plasma_yield = inf is not finite"
+                      (1.0, ModelParams(antibody_coefficient=math.inf))):
+        message = "output target antibody_coefficient*M = inf is not finite"
         with pytest.raises(ValueError, match=re.escape(message)):
             output_target(M, params)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -752,11 +767,15 @@ def test_grid_kernel_keeps_the_scalar_errors():
          "spatial", [0.0, 1.0]),
         # the output target overflows to inf at every point
         (1.2e307, arch(), ModelParams(), "spatial", [0.0, 0.5, 1.0]),
-        (1e10, arch(), ModelParams(antibody_coefficient=1.0, plasma_yield=1e-300),
-         "contention", [1.0, 0.5]),
+        (1e10, arch(), ModelParams(antibody_coefficient=1e300), "contention", [1.0, 0.5]),
         # the output target underflows to 0 at every point: B_target must be > 0
-        (1e-5, arch(), ModelParams(antibody_coefficient=5e-324, plasma_yield=1e10,
+        (1e-5, arch(), ModelParams(antibody_coefficient=5e-324,
                                    contact_latency=RECRUITMENT_DISABLED), "spatial", [0.0, 1.0]),
+        # the body volume c_v * M overflows to inf, or underflows to 0
+        (1e10, arch(), ModelParams(body_volume_coefficient=1e300), "spatial", [0.0, 0.5, 1.0]),
+        (1e-10, arch(), ModelParams(body_volume_coefficient=5e-324), "spatial", [0.0, 1.0]),
+        # the volume is refused before the overflowing target, as in the scalar path
+        (1e308, arch(), ModelParams(body_volume_coefficient=1e300), "spatial", [0.0, 1.0]),
     ]
     for M, base, params, mode, exponents in cases:
         with pytest.raises(ValueError) as scalar:
@@ -822,12 +841,12 @@ def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, compositio
 def term_fields(base, params):
     # the cache key's fields after M and the grid resolution, in key order
     return (base.base_hub_count, base.base_hub_size, params.cognate_frequency,
-            params.bcrit_coefficient, params.antibody_coefficient, params.plasma_yield,
-            params.doubling_time, params.recruitment_enabled, params.recruitment_composition)
+            params.bcrit_coefficient, params.antibody_coefficient, params.doubling_time,
+            params.recruitment_enabled, params.recruitment_composition)
 
 
 # every input the cached terms read; antibody_coefficient is explicit so that
-# plasma_yield, bcrit and doubling_time can change alone
+# bcrit and doubling_time can change alone
 KEY_BASE = dict(M=100.0, base=arch(), params=ModelParams(antibody_coefficient=16.0),
                 mode="spatial", resolution=0.01)
 KEY_CHANGES = {
@@ -839,7 +858,6 @@ KEY_CHANGES = {
     "bcrit_coefficient": dict(params=ModelParams(antibody_coefficient=16.0,
                                                  bcrit_coefficient=0.5)),
     "antibody_coefficient": dict(params=ModelParams(antibody_coefficient=20.0)),
-    "plasma_yield": dict(params=ModelParams(antibody_coefficient=16.0, plasma_yield=2.0)),
     "doubling_time": dict(params=ModelParams(antibody_coefficient=16.0, doubling_time=0.5)),
     "recruitment off": dict(params=ModelParams(antibody_coefficient=16.0,
                                                contact_latency=RECRUITMENT_DISABLED)),
@@ -1046,7 +1064,7 @@ def test_memo_retains_nothing_from_a_max_grid_evaluation():
 
 def test_memo_retains_nothing_from_a_call_that_raises():
     for M, base, message in ((1e10, arch(n0=1e300), "hub count n0*M^a = inf"),
-                             (1e308, arch(), "output target antibody_coefficient*M/plasma_yield")):
+                             (1e308, arch(), "output target antibody_coefficient*M = inf")):
         for mode in ("spatial", "contention", "spatial"):
             # the refusal is raised again on every call, not answered from the cache
             with pytest.raises(ValueError, match=re.escape(message)):

@@ -642,10 +642,17 @@ def test_discrete_expansion_brackets_analytic_value():
         spawn_infection(world)
         run_detection(world)
         run_recruitment(world)
-        analytic = expansion_time(world.pool, p.antibody_coefficient * M / p.plasma_yield,
-                                  p.doubling_time)
+        analytic = expansion_time(world.pool, p.antibody_coefficient * M, p.doubling_time)
         t_expand, _ = run_expansion(world)
         assert analytic <= t_expand < analytic + p.doubling_time + 1e-9
+
+
+def test_expansion_from_a_pool_past_its_target_takes_no_tick():
+    # target / pool underflows to 0: the target is met before the first tick
+    p = ModelParams(antibody_coefficient=1e-300, bcrit_coefficient=1e30, cognate_frequency=1e24)
+    bd, log = simulate(1.0, arch(), p, seed=1)
+    assert bd.t_expand == 0.0
+    assert "doubling-tick" not in [event.kind for event in log]
 
 
 # ---------------------------------------------------------------------------
