@@ -36,12 +36,7 @@ __all__ = [
     "output_target",
     "hub_count",
     "hub_size",
-    "dr_extent",
     "detection_time",
-    "local_cognate_pool",
-    "recruitment_demand",
-    "recruitment_time",
-    "activated_pool",
     "expansion_time",
     "total_response_time",
     "exponent_grid",
@@ -145,6 +140,8 @@ class ModelParams:
     recruitment_composition: str = "serial"
 
     def __post_init__(self):
+        if not 0.0 < self.cognate_frequency <= 1.0:
+            raise ValueError(f"cognate_frequency must be in (0, 1], got {self.cognate_frequency}")
         for name in (
             "cognate_frequency",
             "bcrit_coefficient",
@@ -289,97 +286,55 @@ def hub_size(M: float, arch: ArchitectureSpec) -> float:
     return arch.base_hub_size * M ** (1.0 - arch.exponent)
 
 
-def dr_extent(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
-    """Linear extent of one draining region.
-
-    The domain is a d-cube of volume c_v * M split evenly over the continuous
-    hub count, so each region has volume c_v * M / N(M).
-    """
-    M = _positive_mass(M)
-    continuous, _ = hub_count(M, arch)
-    volume = _body_volume(M, params.body_volume_coefficient) / continuous
-    return volume ** (1.0 / arch.dimension)
-
-
 def detection_time(M: float, arch: ArchitectureSpec, params: ModelParams,
                    mode: str = "spatial") -> float:
     """Expected time for the first detector report to reach its hub.
 
     spatial mode:    travel time over the draining region, mu_d * extent / v,
-                     with mu_d the unit-cube mean center distance
+                     with mu_d the unit-cube mean center distance and extent
+                     the side of a region, (c_v * M / N(M))^(1/d)
     contention mode: queueing delay on the detector-to-hub channel, rho times
                      the detector population sharing one hub
     """
     M = _positive_mass(M)
     _require_mode(mode)
-    if mode == "spatial":
-        mu = mean_center_distance(arch.dimension)
-        return mu * dr_extent(M, arch, params) / params.detector_speed
-    continuous, _ = hub_count(M, arch)
-    return params.contention_coefficient * M / continuous
+    if mode == "contention":
+        return params.contention_coefficient * M / hub_count(M, arch)[0]
+    # the body volume is refused before the hub count, as in _grid_pass
+    volume = _body_volume(M, params.body_volume_coefficient)
+    extent = (volume / hub_count(M, arch)[0]) ** (1.0 / arch.dimension)
+    return mean_center_distance(arch.dimension) * extent / params.detector_speed
 
 
-def local_cognate_pool(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
-    """Cognate responders resident in a single hub: f * S(M)."""
-    return params.cognate_frequency * hub_size(M, arch)
+def _recruitment(M: float, arch: ArchitectureSpec, params: ModelParams) -> tuple[int, float]:
+    """(k, pool) at a mass M already checked by `_positive_mass`, for a
+    feasible model: the peer hubs the infected hub contacts and the
+    responders activated before expansion begins.
 
-
-def recruitment_demand(M: float, arch: ArchitectureSpec, params: ModelParams) -> int:
-    """Number of peer hubs the infected hub must contact to cover the
-    critical responder requirement B_crit = bcrit * M.
-
-    Each contacted peer contributes its own cognate pool f * S(M); the count
-    is the ceiling of the deficit over that contribution, and can never
-    exceed the rounded number of peers that exist. A local pool that
-    underflows to 0, or a ceiling too large to be finite, is refused.
+    Each peer contributes its own cognate pool, local = f * S(M), so k is
+    the ceiling of the deficit bcrit * M - local over local, and never more
+    than the rounded number of peers that exist. Activation stops once
+    bcrit * M is covered, so the pool is min(bcrit * M, local + k * local).
+    With recruitment off, k = 0 and the pool is min(local, bcrit * M). A
+    deficit over a local pool that underflows to 0, or over which the
+    ceiling is not finite, is refused.
     """
-    M = _positive_mass(M)
-    check_feasible(arch, params)
-    local = local_cognate_pool(M, arch, params)
-    deficit = params.bcrit_coefficient * M - local
-    if deficit <= 0.0:
-        return 0
-    if not local > 0.0:
-        raise ValueError(f"local cognate pool f*S(M) underflows to {local} at M={M}, "
-                         f"a={arch.exponent}; no peer hub can cover the deficit")
-    peers = deficit / local
-    if not math.isfinite(peers):
-        raise ValueError(f"recruitment demand deficit/local = {peers} is not finite "
-                         f"at M={M}, a={arch.exponent}")
-    _, rounded = hub_count(M, arch)
-    return min(math.ceil(peers), max(0, rounded - 1))
-
-
-def recruitment_time(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
-    """Time spent contacting peer hubs.
-
-    Serial composition charges contact_latency per peer (the infected hub's
-    outbound channel is the bottleneck); parallel composition fans out as a
-    doubling tree, lambda * log2(k + 1).
-    """
-    if not params.recruitment_enabled:
-        return 0.0
-    k = recruitment_demand(M, arch, params)
-    if params.recruitment_composition == "parallel":
-        return params.contact_latency * math.log2(k + 1)
-    return params.contact_latency * k
-
-
-def activated_pool(M: float, arch: ArchitectureSpec, params: ModelParams) -> float:
-    """Responders activated before expansion begins.
-
-    Activation stops once the critical requirement bcrit * M is covered (the
-    last contacted peer is used only partially), so the pool is exactly
-    B_crit whenever local plus recruited cells can reach it. With recruitment
-    disabled the hub expands from whatever its local pool holds.
-    """
-    M = _positive_mass(M)
-    local = local_cognate_pool(M, arch, params)
+    local = params.cognate_frequency * hub_size(M, arch)
     needed = params.bcrit_coefficient * M
     if not params.recruitment_enabled:
-        return min(local, needed)
-    k = recruitment_demand(M, arch, params)
-    return min(needed, local + k * local)
+        return 0, min(local, needed)
+    deficit = needed - local
+    k = 0
+    if not deficit <= 0.0:  # a NaN deficit (inf - inf) is refused below
+        if not local > 0.0:
+            raise ValueError(f"local cognate pool f*S(M) underflows to {local} at M={M}, "
+                             f"a={arch.exponent}; no peer hub can cover the deficit")
+        peers = deficit / local
+        if not math.isfinite(peers):
+            raise ValueError(f"recruitment demand deficit/local = {peers} is not finite "
+                             f"at M={M}, a={arch.exponent}")
+        k = min(math.ceil(peers), max(0, hub_count(M, arch)[1] - 1))
+    return k, min(needed, local + k * local)
 
 
 def expansion_time(B_initial: float, B_target: float, doubling_time: float) -> float:
@@ -389,17 +344,29 @@ def expansion_time(B_initial: float, B_target: float, doubling_time: float) -> f
         raise ValueError(f"B_initial must be > 0, got {B_initial}")
     if not B_target > 0.0:
         raise ValueError(f"B_target must be > 0, got {B_target}")
+    if B_target <= B_initial:  # also where B_target / B_initial underflows to 0
+        return 0.0
     return max(0.0, doubling_time * math.log2(B_target / B_initial))
 
 
 def total_response_time(M: float, arch: ArchitectureSpec, params: ModelParams,
                         mode: str = "spatial") -> TimingBreakdown:
-    """Full three-phase latency at mass M for one architecture."""
+    """Full three-phase latency at mass M for one architecture.
+
+    Serial recruitment charges contact_latency per peer contacted (the
+    infected hub's outbound channel is the bottleneck); parallel recruitment
+    fans out as a doubling tree, contact_latency * log2(k + 1).
+    """
     M = _positive_mass(M)
     check_feasible(arch, params)
     t_detect = detection_time(M, arch, params, mode)
-    t_recruit = recruitment_time(M, arch, params)
-    pool = activated_pool(M, arch, params)
+    k, pool = _recruitment(M, arch, params)
+    if not params.recruitment_enabled:
+        t_recruit = 0.0
+    elif params.recruitment_composition == "parallel":
+        t_recruit = params.contact_latency * math.log2(k + 1)
+    else:
+        t_recruit = params.contact_latency * k
     t_expand = expansion_time(pool, output_target(M, params), params.doubling_time)
     return TimingBreakdown(t_detect, t_recruit, t_expand)
 
@@ -483,7 +450,8 @@ def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
             total_response_time(M, ArchitectureSpec(float(a[i]), n0, s0), ModelParams(
                 f, bcrit, antibody, doubling_time, recruitment_composition=composition,
                 contact_latency=0.0 if recruits else RECRUITMENT_DISABLED), "contention")
-        t_expand = doubling_time * _libm(math.log2, target / pool)
+        # a target already met, also one whose ratio underflows to 0, takes no time
+        t_expand = doubling_time * _libm(math.log2, np.maximum(target / pool, 1.0))
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
     for x in (a, continuous, units, t_expand):
         x.flags.writeable = False
@@ -505,7 +473,7 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
     M = _positive_mass(M)
     check_feasible(arch, params)
     _require_mode(mode)
-    # the scalar path refuses the body volume before any recruitment or target error
+    # the scalar path refuses the body volume before the hub count and any later error
     volume = _body_volume(M, params.body_volume_coefficient) if mode == "spatial" else None
     # every input of the terms but M and the grid, and nothing else: the
     # dimension, mode, rho, lambda's finite value, v and c_v stay out

@@ -21,14 +21,13 @@ from detnet.scaling import (
     ArchitectureSpec,
     ModelParams,
     TimingBreakdown,
-    activated_pool,
     check_feasible,
     expansion_time,
     hub_count,
     output_target,
-    recruitment_demand,
     _body_volume,
     _positive_mass,
+    _recruitment,
 )
 
 __all__ = ["EventRecord", "EventLog", "SimWorld", "SimulationInvariantError", "WalkLimitError",
@@ -323,8 +322,7 @@ def _recruit(world: SimWorld) -> float:
     params = world.params
     start_time = world.clock
 
-    world.pool = activated_pool(world.mass, world.arch, params)
-    k = recruitment_demand(world.mass, world.arch, params) if params.recruitment_enabled else 0
+    k, world.pool = _recruitment(world.mass, world.arch, params)
     if k == 0:
         return 0.0
 

@@ -5,6 +5,7 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,15 +15,11 @@ from detnet.scaling import (
     ArchitectureSpec,
     ModelParams,
     detection_time,
-    dr_extent,
     expansion_time,
     hub_count,
     hub_size,
-    mean_center_distance,
     optimal_exponent,
     output_target,
-    recruitment_demand,
-    recruitment_time,
     total_response_time,
 )
 from detnet.scenarios import scenario_table
@@ -31,6 +28,11 @@ from detnet.sim import simulate
 
 def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
     return ArchitectureSpec(exponent=a, base_hub_count=n0, base_hub_size=s0, dimension=d)
+
+
+def peers_contacted(M, spec, p):
+    """Peer hubs contacted: serial t_recruit at one time unit per contact."""
+    return total_response_time(M, spec, replace(p, contact_latency=1.0)).t_recruit
 
 
 def _report(num, label, ok, detail=""):
@@ -106,9 +108,9 @@ def test_criterion_05_architecture_limit_behaviors():
     flat_detect = {detection_time(M, arch(a=1.0), p, "spatial") for M in masses}
     exact_flat = len(flat_detect) == 1
 
-    trivial = {recruitment_demand(M, arch(a=0.0), p) for M in masses}
+    trivial = {peers_contacted(M, arch(a=0.0), p) for M in masses}
     rich = ModelParams(bcrit_coefficient=7.3)
-    demands = [recruitment_demand(M, arch(a=0.0, n0=8.0), rich) for M in masses]
+    demands = [peers_contacted(M, arch(a=0.0, n0=8.0), rich) for M in masses]
     demand_flat = trivial == {0} and max(demands) - min(demands) <= 1
     _report(5, "a=1 detection exactly flat; a=0 demand flat within one contact",
             exact_flat and demand_flat,
@@ -121,7 +123,7 @@ def test_criterion_06_demand_scaling_exponent():
     ok = True
     fits = []
     for a in (0.25, 0.5, 0.75, 1.0):
-        ks = [recruitment_demand(M, arch(a=a, n0=256.0), p) for M in masses]
+        ks = [peers_contacted(M, arch(a=a, n0=256.0), p) for M in masses]
         slope = float(np.polyfit(np.log(masses), np.log(ks), 1)[0])
         fits.append(f"a={a}: {slope:.3f}")
         ok &= abs(slope - a) < 0.05
@@ -218,14 +220,14 @@ def test_criterion_10_simulator_matches_analytic_model():
         recruit.append(bd.t_recruit)
         expand.append(bd.t_expand)
 
-    predicted = mean_center_distance(2) * dr_extent(M, spec, p) / p.detector_speed
+    predicted = detection_time(M, spec, p, "spatial")
     stderr = float(np.std(detect, ddof=1)) / math.sqrt(trials)
     detect_ok = abs(float(np.mean(detect)) - predicted) < 3.0 * stderr
 
-    analytic_recruit = recruitment_time(M, spec, p)
-    recruit_ok = set(recruit) == {analytic_recruit}
+    analytic = total_response_time(M, spec, p)
+    recruit_ok = set(recruit) == {analytic.t_recruit}
 
-    analytic_expand = total_response_time(M, spec, p).t_expand
+    analytic_expand = analytic.t_expand
     expand_ok = all(abs(t - analytic_expand) <= p.doubling_time for t in expand)
 
     _report(10, "1000-seed simulation matches analytics "

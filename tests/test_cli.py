@@ -413,6 +413,25 @@ def test_simulate_refuses_what_analyze_refuses_in_expansion(tmp_path, capsys, ma
 
 
 @pytest.mark.parametrize("command", [["analyze", "--mass", "1", "--exponent", "0.5"],
+                                     ["sweep"], ["scenario", "--profile", "limited-limited"]])
+def test_target_met_by_a_ratio_that_underflows_takes_no_expansion(tmp_path, capsys, command):
+    # antibody_coefficient * M / pool underflows to 0: the target is already
+    # met, so t_expand = 0, as simulate writes, where log2(0) used to raise
+    out = tmp_path / "out.csv"
+    cfg = run(tmp_path, "antibody_coefficient = 5e-324\ncognate_frequency = 1\n"
+                        f"bcrit_coefficient = 1e6\noutput = {out}\n")
+    assert dispatch([*command, "--config", cfg]) == 0
+    if command[0] == "analyze":
+        assert " t_expand=0 " in capsys.readouterr().out
+    elif command[0] == "sweep":
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0][6] == "t_expand" and {row[6] for row in rows[1:]} == {"0"}
+    else:  # each model's total is its detection time alone
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        assert rows[0][1:6] == ["1", "tie", "0.382597858", "0.382597858", "0.382597858"]
+
+
+@pytest.mark.parametrize("command", [["analyze", "--mass", "1", "--exponent", "0.5"],
                                      ["sweep"], ["simulate"], ["scenario", "--profile", "all"]])
 def test_deleted_plasma_yield_key_is_unknown(tmp_path, capsys, command):
     cfg = run(tmp_path, f"plasma_yield = 1\noutput = {tmp_path / 'out.csv'}\n")

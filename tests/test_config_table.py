@@ -29,7 +29,7 @@ OWNER_KEYS = [
 DEFAULT_VALUES = dict(line.split(" = ", 1) for line in emit_config(parse_config("")).splitlines())
 
 BAD_VALUES = {
-    "cognate_frequency": ["0", "nan", "-1e-6", "x"],
+    "cognate_frequency": ["0", "nan", "-1e-6", "x", "2"],
     "bcrit_coefficient": ["0", "nan"],
     "antibody_coefficient": ["-1", "nan", "auto"],
     "doubling_time": ["-1", "nan", "fast", "1e-3"],

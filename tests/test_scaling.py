@@ -20,30 +20,35 @@ from detnet.scaling import (
     ModelParams,
     RECRUITMENT_DISABLED,
     TimingBreakdown,
-    activated_pool,
     check_feasible,
     detection_time,
-    dr_extent,
     expansion_time,
     exponent_grid,
     hub_count,
     hub_size,
-    local_cognate_pool,
     mean_center_distance,
     optimal_exponent,
     output_target,
-    recruitment_demand,
-    recruitment_time,
     sweep,
     total_response_time,
     _MEMO_BUDGET,
     _cached_terms,
+    _recruitment,
 )
 from detnet.scenarios import PROFILE_NAMES, profile_from_name, scenario_table
 
 
 def arch(a=0.5, n0=1.0, s0=1.0e6, d=2):
     return ArchitectureSpec(exponent=a, base_hub_count=n0, base_hub_size=s0, dimension=d)
+
+
+def demand(M, spec, params):
+    """k, the peer hubs the infected hub contacts."""
+    return _recruitment(M, spec, params)[0]
+
+
+def t_recruit(M, spec, params):
+    return total_response_time(M, spec, params).t_recruit
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,10 @@ def test_model_params_validation():
         ModelParams(contact_latency=-1.0)
     with pytest.raises(ValueError):
         ModelParams(recruitment_composition="broadcast")
+    # a fraction of cells: 1 is the largest frequency
+    with pytest.raises(ValueError, match=r"^cognate_frequency must be in \(0, 1\], got 2.0$"):
+        ModelParams(cognate_frequency=2.0)
+    assert ModelParams(cognate_frequency=1.0).cognate_frequency == 1.0
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -151,6 +160,10 @@ def test_package_exports_the_scaling_api():
     assert detnet.__all__ == scaling.__all__
     for name in scaling.__all__:
         assert getattr(detnet, name) is getattr(scaling, name), name
+    # the per-phase laws live on only inside total_response_time and _recruitment
+    for name in ("dr_extent", "local_cognate_pool", "recruitment_demand", "recruitment_time",
+                 "activated_pool"):
+        assert not hasattr(scaling, name), name
     assert detnet.__version__ == "0.1.0"
 
 
@@ -260,18 +273,19 @@ def test_feasibility_independent_of_mass_property(a, n0, s0, log_f, bcrit, log_m
 
 
 def test_dr_extent_examples():
-    p = ModelParams()
-    extents = {M: dr_extent(M, arch(a=1.0), p) for M in (1.0, 10.0, 1e4)}
+    # v = 1, so spatial detection is mu_2 times the draining region's extent
+    p, mu = ModelParams(), mean_center_distance(2)
+    extents = {M: detection_time(M, arch(a=1.0), p) / mu for M in (1.0, 10.0, 1e4)}
     assert len(set(extents.values())) == 1
-    assert dr_extent(100.0, arch(a=0.0), p) == pytest.approx(10.0, rel=1e-12)
-    assert dr_extent(16.0, arch(a=0.5), p) == pytest.approx(2.0, rel=1e-12)
+    assert detection_time(100.0, arch(a=0.0), p) / mu == pytest.approx(10.0, rel=1e-12)
+    assert detection_time(16.0, arch(a=0.5), p) / mu == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("M, c_v, volume", [(1e10, 1e300, "inf"), (1e-10, 5e-324, "0.0")])
 def test_body_volume_must_be_finite_and_positive(M, c_v, volume):
     params = ModelParams(body_volume_coefficient=c_v)
     message = f"body volume body_volume_coefficient*M = {volume} at M={M} must be finite and > 0"
-    for spatial in (lambda: dr_extent(M, arch(), params),
+    for spatial in (lambda: detection_time(M, arch(), params, "spatial"),
                     lambda: total_response_time(M, arch(), params, "spatial"),
                     lambda: optimal_exponent(M, params, "spatial")):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -333,11 +347,13 @@ def test_detection_time_monotone_in_exponent():
 
 
 def test_local_cognate_pool():
-    assert local_cognate_pool(1.0, arch(a=0.5), ModelParams()) == 1.0
-    p = ModelParams()
-    pool = lambda M, a: local_cognate_pool(M, arch(a=a), p)
+    # with recruitment off the pool is the local f * S(M), capped at bcrit * M
+    p = ModelParams(contact_latency=RECRUITMENT_DISABLED)
+    assert _recruitment(1.0, arch(a=0.5), p) == (0, 1.0)
+    pool = lambda M, a: _recruitment(M, arch(a=a), p)[1]
     assert pool(4.0, 0.0) / pool(1.0, 0.0) == pytest.approx(4.0, rel=1e-12)
     assert pool(4.0, 1.0) == pool(1.0, 1.0)
+    assert _recruitment(1.0, arch(a=0.5), replace(p, bcrit_coefficient=0.5)) == (0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +363,20 @@ def test_local_cognate_pool():
 def test_recruitment_demand_regimes():
     p = ModelParams()
     # fully modular: contacts grow linearly
-    k1, k2 = recruitment_demand(1e4, arch(a=1.0), p), recruitment_demand(2e4, arch(a=1.0), p)
+    k1, k2 = demand(1e4, arch(a=1.0), p), demand(2e4, arch(a=1.0), p)
     assert k2 / k1 == pytest.approx(2.0, rel=1e-3)
     # non-modular: everything needed is local
-    assert all(recruitment_demand(M, arch(a=0.0), p) == 0 for M in (1.0, 10.0, 100.0))
+    assert all(demand(M, arch(a=0.0), p) == 0 for M in (1.0, 10.0, 100.0))
     # no recruitment when the local pool suffices
     rich = ModelParams(bcrit_coefficient=0.5)
-    assert recruitment_demand(1.0, arch(a=0.5), rich) == 0
+    assert demand(1.0, arch(a=0.5), rich) == 0
 
 
 def test_recruitment_demand_constant_at_zero_exponent():
     # non-trivial constant demand: several hubs' worth of responders needed
     p = ModelParams(bcrit_coefficient=7.3)
     spec = arch(a=0.0, n0=8.0)
-    demands = {recruitment_demand(M, spec, p) for M in (1.0, 10.0, 100.0, 1e3, 1e4)}
+    demands = {demand(M, spec, p) for M in (1.0, 10.0, 100.0, 1e3, 1e4)}
     assert demands == {7}
 
 
@@ -368,7 +384,7 @@ def test_recruitment_demand_monotone_in_exponent():
     p = ModelParams(bcrit_coefficient=3.0, )
     spec = arch(n0=4.0)
     for M in (1.0, 10.0, 313.0):
-        ks = [recruitment_demand(M, spec.with_exponent(i / 20), p) for i in range(21)]
+        ks = [demand(M, spec.with_exponent(i / 20), p) for i in range(21)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
 
 
@@ -378,7 +394,7 @@ def test_recruitment_demand_capped_by_existing_peers():
     spec = arch(a=0.5, n0=1.0)
     M = 10.0  # continuous count 3.16 -> 3 hubs, at most 2 peers
     assert hub_count(M, spec)[1] == 3
-    assert recruitment_demand(M, spec, p) == 2
+    assert demand(M, spec, p) == 2
 
 
 def test_recruitment_demand_scaling_exponent():
@@ -386,7 +402,7 @@ def test_recruitment_demand_scaling_exponent():
     masses = [10.0, 100.0, 1000.0, 10000.0]
     for a in (0.25, 0.5, 0.75, 1.0):
         spec = arch(a=a, n0=256.0)
-        ks = [recruitment_demand(M, spec, p) for M in masses]
+        ks = [demand(M, spec, p) for M in masses]
         slope = np.polyfit(np.log(masses), np.log(ks), 1)[0]
         assert abs(slope - a) < 0.05, f"a={a}: fitted {slope}"
 
@@ -399,28 +415,31 @@ def test_hub_count_refuses_overflow():
 def test_recruitment_demand_refuses_empty_pool_and_infinite_demand():
     # f * S(M) underflows to 0 at M = 1e-322, a = 0
     with pytest.raises(ValueError, match="local cognate pool f\\*S\\(M\\) underflows to 0.0"):
-        recruitment_demand(1e-322, arch(a=0.0, n0=1000.0), ModelParams(cognate_frequency=1e-9))
+        demand(1e-322, arch(a=0.0, n0=1000.0), ModelParams(cognate_frequency=1e-9))
     # an infinite deficit over a finite local pool
     with pytest.raises(ValueError, match="deficit/local = inf is not finite"):
-        recruitment_demand(1.0, arch(n0=1e308, s0=1e300),
-                           ModelParams(bcrit_coefficient=math.inf))
+        demand(1.0, arch(n0=1e308, s0=1e300), ModelParams(bcrit_coefficient=math.inf))
+    # needed and local both overflow to inf: the deficit inf - inf is NaN
+    with pytest.raises(ValueError, match="deficit/local = nan is not finite"):
+        demand(1e10, arch(a=0.0, s0=1e300),
+               ModelParams(cognate_frequency=1.0, bcrit_coefficient=1e300))
 
 
 def test_recruitment_infeasible_raises():
     p = ModelParams(bcrit_coefficient=5.0)  # pool holds 1 responder per unit mass
     with pytest.raises(InfeasibleParametersError):
-        recruitment_demand(10.0, arch(), p)
+        total_response_time(10.0, arch(), p)
 
 
 def test_recruitment_time_examples():
     free = ModelParams(contact_latency=0.0)
-    assert all(recruitment_time(64.0, arch(a=a), free) == 0.0 for a in (0.0, 0.5, 1.0))
+    assert all(t_recruit(64.0, arch(a=a), free) == 0.0 for a in (0.0, 0.5, 1.0))
     serial = ModelParams(contact_latency=1.0)
-    assert recruitment_time(100.0, arch(a=0.0), serial) == recruitment_time(
+    assert t_recruit(100.0, arch(a=0.0), serial) == t_recruit(
         10.0, arch(a=0.0), serial)
     # fully modular cost is linear in M
-    t1 = recruitment_time(1e3, arch(a=1.0), serial)
-    t2 = recruitment_time(2e3, arch(a=1.0), serial)
+    t1 = t_recruit(1e3, arch(a=1.0), serial)
+    t2 = t_recruit(2e3, arch(a=1.0), serial)
     assert t2 / t1 == pytest.approx(2.0, rel=1e-2)
 
 
@@ -428,16 +447,17 @@ def test_recruitment_time_parallel_composition():
     serial = ModelParams(contact_latency=1.0)
     fanout = ModelParams(contact_latency=1.0, recruitment_composition="parallel")
     M, spec = 1e3, arch(a=1.0)
-    k = recruitment_demand(M, spec, serial)
-    assert recruitment_time(M, spec, serial) == k * 1.0
-    assert recruitment_time(M, spec, fanout) == pytest.approx(math.log2(k + 1), rel=1e-12)
+    k = demand(M, spec, serial)
+    assert t_recruit(M, spec, serial) == k * 1.0
+    assert t_recruit(M, spec, fanout) == pytest.approx(math.log2(k + 1), rel=1e-12)
 
 
 def test_recruitment_disabled_sentinel():
     p = ModelParams(contact_latency=RECRUITMENT_DISABLED)
-    assert recruitment_time(100.0, arch(a=1.0), p) == 0.0
+    assert t_recruit(100.0, arch(a=1.0), p) == 0.0
     # the hub expands from its local pool alone
-    assert activated_pool(100.0, arch(a=1.0), p) == local_cognate_pool(100.0, arch(a=1.0), p)
+    local = p.cognate_frequency * hub_size(100.0, arch(a=1.0))
+    assert _recruitment(100.0, arch(a=1.0), p) == (0, local)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +468,7 @@ def test_expansion_time_examples():
     assert expansion_time(1000.0, 1000.0, 1.0) == 0.0
     assert expansion_time(1000.0, 2000.0, 1.0) == 1.0
     assert expansion_time(2000.0, 1000.0, 1.0) == 0.0  # already past the target
+    assert expansion_time(1e300, 1e-300, 1.0) == 0.0  # the ratio underflows to 0
     with pytest.raises(ValueError):
         expansion_time(0.0, 10.0, 1.0)
     with pytest.raises(ValueError):
@@ -543,9 +564,8 @@ def test_activated_pool_meets_requirement():
     p = ModelParams()
     for M in (1.0, 16.0, 256.0, 4096.0):
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-            pool = activated_pool(M, arch(a=a), p)
-            have = local_cognate_pool(M, arch(a=a), p) * (
-                1 + recruitment_demand(M, arch(a=a), p))
+            k, pool = _recruitment(M, arch(a=a), p)
+            have = p.cognate_frequency * hub_size(M, arch(a=a)) * (1 + k)
             assert pool == min(p.bcrit_coefficient * M, have)
 
 
@@ -776,6 +796,8 @@ def test_grid_kernel_keeps_the_scalar_errors():
         (1e-10, arch(), ModelParams(body_volume_coefficient=5e-324), "spatial", [0.0, 1.0]),
         # the volume is refused before the overflowing target, as in the scalar path
         (1e308, arch(), ModelParams(body_volume_coefficient=1e300), "spatial", [0.0, 1.0]),
+        # and before the overflowing hub count
+        (1e10, arch(n0=1e300), ModelParams(body_volume_coefficient=1e300), "spatial", [1.0]),
     ]
     for M, base, params, mode, exponents in cases:
         with pytest.raises(ValueError) as scalar:

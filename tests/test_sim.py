@@ -14,13 +14,12 @@ from detnet.scaling import (
     InfeasibleParametersError,
     ModelParams,
     TimingBreakdown,
-    dr_extent,
+    detection_time,
     expansion_time,
     hub_count,
     mean_center_distance,
-    recruitment_demand,
-    recruitment_time,
     total_response_time,
+    _recruitment,
 )
 from detnet.sim import (
     MAX_HUBS,
@@ -269,7 +268,7 @@ def test_detection_mean_matches_geometry_oracle():
         t_detect, _ = run_detection(world)
         times.append(t_detect)
     times = np.array(times)
-    predicted = mean_center_distance(2) * dr_extent(M, spec, p) / p.detector_speed
+    predicted = detection_time(M, spec, p, "spatial")
     stderr = times.std(ddof=1) / math.sqrt(len(times))
     assert abs(times.mean() - predicted) < 3.0 * stderr
 
@@ -509,8 +508,8 @@ def test_recruitment_contact_count_matches_analytic_demand():
         world = _run_through_recruitment(M, a)
         t_recruit, log = run_recruitment(world)
         contacts = [r for r in log if r.kind == "contact-complete"]
-        assert len(contacts) == recruitment_demand(M, arch(a=a), world.params)
-        assert t_recruit == recruitment_time(M, arch(a=a), world.params)
+        assert len(contacts) == _recruitment(M, arch(a=a), world.params)[0]
+        assert t_recruit == total_response_time(M, arch(a=a), world.params).t_recruit
 
 
 @pytest.mark.parametrize("M", [3.0, 7.0, 13.0, 25000.0])
@@ -521,7 +520,7 @@ def test_parallel_recruitment_within_one_latency_of_analytic(M):
     for a in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
         world = _run_through_recruitment(M, a, params=p)
         t_recruit, _ = run_recruitment(world)
-        gap = t_recruit - recruitment_time(M, arch(a=a), p)
+        gap = t_recruit - total_response_time(M, arch(a=a), p).t_recruit
         assert 0.0 <= gap < p.contact_latency, (M, a, gap)
 
 
@@ -576,7 +575,7 @@ def test_equidistant_peers_contacted_in_index_order(M, a, d, volume, shape, stri
             if offset not in exact:
                 exact[offset] = sum(Fraction(o, n) ** 2 for o, n in zip(offset, shape))
             keys.append((exact[offset], r.subject))
-        assert len(keys) == recruitment_demand(M, spec, p) == len(cells) - 1
+        assert len(keys) == _recruitment(M, spec, p)[0] == len(cells) - 1
         assert keys == sorted(keys)
 
 
@@ -649,9 +648,9 @@ def test_discrete_expansion_brackets_analytic_value():
 
 def test_expansion_from_a_pool_past_its_target_takes_no_tick():
     # target / pool underflows to 0: the target is met before the first tick
-    p = ModelParams(antibody_coefficient=1e-300, bcrit_coefficient=1e30, cognate_frequency=1e24)
+    p = ModelParams(antibody_coefficient=5e-324, bcrit_coefficient=1e6, cognate_frequency=1.0)
     bd, log = simulate(1.0, arch(), p, seed=1)
-    assert bd.t_expand == 0.0
+    assert bd.t_expand == 0.0 == total_response_time(1.0, arch(), p).t_expand
     assert "doubling-tick" not in [event.kind for event in log]
 
 
@@ -804,10 +803,10 @@ def test_simulate_average_phases_track_analytic_model():
         detect.append(bd.t_detect)
         recruit.append(bd.t_recruit)
         expand.append(bd.t_expand)
-    predicted = mean_center_distance(2) * dr_extent(M, spec, p) / p.detector_speed
+    predicted = detection_time(M, spec, p, "spatial")
     stderr = np.std(detect, ddof=1) / math.sqrt(len(detect))
     assert abs(np.mean(detect) - predicted) < 3.0 * stderr
-    assert set(recruit) == {recruitment_time(M, spec, p)}
+    assert set(recruit) == {total_response_time(M, spec, p).t_recruit}
     assert set(expand) == {4.0}
 
 
@@ -821,9 +820,9 @@ def test_empirical_analytic_agreement_grid(M, a):
         detect.append(bd.t_detect)
         recruit.append(bd.t_recruit)
         expand.append(bd.t_expand)
-    predicted = mean_center_distance(2) * dr_extent(M, spec, p) / p.detector_speed
+    predicted = detection_time(M, spec, p, "spatial")
     stderr = np.std(detect, ddof=1) / math.sqrt(len(detect))
     assert abs(np.mean(detect) - predicted) <= 3.0 * max(stderr, 1e-15)
-    assert set(recruit) == {recruitment_time(M, spec, p)}
+    assert set(recruit) == {total_response_time(M, spec, p).t_recruit}
     analytic_expand = total_response_time(M, spec, p).t_expand
     assert all(abs(t - analytic_expand) <= p.doubling_time for t in expand)
