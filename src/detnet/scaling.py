@@ -119,12 +119,12 @@ class ModelParams:
                               calibrated so expansion from the critical pool
                               takes BASELINE_RESPONSE_TIME at every M
     doubling_time:            responder population doubling period
-    detector_speed:           detector travel speed
+    detector_speed:           detector travel speed; a unit mass has unit volume,
+                              so lengths are in (volume per unit mass)^(1/d)
     contact_latency:          time per peer hub contacted during recruitment
                               (0 = free channel, math.inf = recruitment off)
     contention_coefficient:   time per detector sharing a hub (contention mode,
                               detector density folded in)
-    body_volume_coefficient:  domain volume per unit mass
     recruitment_composition:  "serial" contacts one peer after another,
                               "parallel" fans out as a doubling tree
     """
@@ -136,7 +136,6 @@ class ModelParams:
     detector_speed: float = 1.0
     contact_latency: float = 0.2
     contention_coefficient: float = 0.1
-    body_volume_coefficient: float = 1.0
     recruitment_composition: str = "serial"
 
     def __post_init__(self):
@@ -147,7 +146,6 @@ class ModelParams:
             "bcrit_coefficient",
             "doubling_time",
             "detector_speed",
-            "body_volume_coefficient",
         ):
             value = getattr(self, name)
             if not value > 0.0:
@@ -257,15 +255,6 @@ def output_target(M: float, params: ModelParams) -> float:
     return target
 
 
-def _body_volume(M: float, body_volume_coefficient: float) -> float:
-    # the domain volume c_v * M, refused unless it is finite and > 0
-    volume = body_volume_coefficient * M
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"body volume body_volume_coefficient*M = {volume} at M={M} "
-                         f"must be finite and > 0")
-    return volume
-
-
 def hub_count(M: float, arch: ArchitectureSpec) -> tuple[float, int]:
     """Hub count at mass M, as (continuous, rounded) pair.
 
@@ -292,7 +281,7 @@ def detection_time(M: float, arch: ArchitectureSpec, params: ModelParams,
 
     spatial mode:    travel time over the draining region, mu_d * extent / v,
                      with mu_d the unit-cube mean center distance and extent
-                     the side of a region, (c_v * M / N(M))^(1/d)
+                     the side of a region, (M / N(M))^(1/d)
     contention mode: queueing delay on the detector-to-hub channel, rho times
                      the detector population sharing one hub
     """
@@ -300,9 +289,7 @@ def detection_time(M: float, arch: ArchitectureSpec, params: ModelParams,
     _require_mode(mode)
     if mode == "contention":
         return params.contention_coefficient * M / hub_count(M, arch)[0]
-    # the body volume is refused before the hub count, as in _grid_pass
-    volume = _body_volume(M, params.body_volume_coefficient)
-    extent = (volume / hub_count(M, arch)[0]) ** (1.0 / arch.dimension)
+    extent = (M / hub_count(M, arch)[0]) ** (1.0 / arch.dimension)
     return mean_center_distance(arch.dimension) * extent / params.detector_speed
 
 
@@ -473,10 +460,8 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
     M = _positive_mass(M)
     check_feasible(arch, params)
     _require_mode(mode)
-    # the scalar path refuses the body volume before the hub count and any later error
-    volume = _body_volume(M, params.body_volume_coefficient) if mode == "spatial" else None
     # every input of the terms but M and the grid, and nothing else: the
-    # dimension, mode, rho, lambda's finite value, v and c_v stay out
+    # dimension, mode, rho, lambda's finite value and v stay out
     fields = (arch.base_hub_count, arch.base_hub_size, params.cognate_frequency,
               params.bcrit_coefficient, params.antibody_coefficient, params.doubling_time,
               params.recruitment_enabled, params.recruitment_composition)
@@ -484,7 +469,7 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
         _grid_terms(M, a, *fields)
     with np.errstate(all="ignore"):
         if mode == "spatial":
-            extent = _libm(pow, volume / continuous, 1.0 / arch.dimension)
+            extent = _libm(pow, M / continuous, 1.0 / arch.dimension)
             t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
         else:
             t_detect = params.contention_coefficient * M / continuous

@@ -25,7 +25,6 @@ from detnet.scaling import (
     expansion_time,
     hub_count,
     output_target,
-    _body_volume,
     _positive_mass,
     _recruitment,
 )
@@ -94,7 +93,7 @@ class EventLog:
 
 
 class _Layout(NamedTuple):
-    """The tiling of one world: a pure function of (M, arch, c_v), built
+    """The tiling of one world: a pure function of (M, arch), built
     once and shared, with read-only arrays, by every world of that key."""
     extent: float
     grid_shape: tuple[int, ...]
@@ -119,7 +118,7 @@ class SimWorld:
     detectors: int = 0
     clock: float = 0.0
     rng: np.random.Generator = None  # type: ignore[assignment]
-    infected_hub: int | None = None
+    completed: str = "build_world"  # the last of _PHASES this world has run
     pool: float | None = None
     # event columns (time, kind, subject, hub); an event's index is its sequence number
     _events: tuple[list, ...] = field(default_factory=lambda: ([], [], [], []))
@@ -180,7 +179,7 @@ def _grid_shape(n: int, dimension: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1)  # trials of one world run back to back; holds one world
-def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) -> _Layout:
+def _layout(M: float, arch: ArchitectureSpec) -> _Layout:
     _, rounded = hub_count(M, arch)
     d = arch.dimension
     if rounded > MAX_HUBS:  # raised before allocating, and never cached
@@ -188,8 +187,7 @@ def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) ->
             f"world of {rounded} hubs exceeds the simulator's limit of {MAX_HUBS} hubs "
             f"(its hub arrays would need about {2 * 8 * d * rounded / 1e6:.0f} MB)"
         )
-    # floats whatever the caller's scalar types, so a memo hit returns what a build would
-    extent = float(_body_volume(M, body_volume_coefficient) ** (1.0 / d))
+    extent = M ** (1.0 / d)  # a float, as build_world passes M through _positive_mass
     shape = _grid_shape(rounded, d)
     widths = extent / np.asarray(shape, dtype=float)
     cells = np.indices(shape, dtype=np.int64).reshape(d, -1).T  # row i: grid index of hub i
@@ -200,26 +198,40 @@ def _layout(M: float, arch: ArchitectureSpec, body_volume_coefficient: float) ->
 
 
 def build_world(M: float, arch: ArchitectureSpec, params: ModelParams, seed: int) -> SimWorld:
-    """Tile a d-cube of volume c_v * M into the rounded hub count of equal
-    regions and place one hub at each region center. The tiling is shared,
-    read-only, with the last world built for the same (M, arch, c_v)."""
-    check_feasible(arch, params)
+    """Tile a d-cube of volume M into the rounded hub count of equal regions
+    and place one hub at each region center. The tiling is shared, read-only,
+    with the last world built for the same (M, arch)."""
     M = _positive_mass(M)
+    check_feasible(arch, params)
     return SimWorld(
         mass=M,
         arch=arch,
         params=params,
-        layout=_layout(M, arch, params.body_volume_coefficient),
+        layout=_layout(M, arch),
         rng=np.random.default_rng(seed),
     )
+
+
+# the phases, by the function that runs each, in the one order a world runs them
+_PHASES = ("build_world", "spawn_infection", "run_detection", "run_recruitment", "run_expansion")
+
+
+def _start(world: SimWorld, phase: str) -> None:
+    """Refuse `phase` unless the phase before it is the last one the world
+    completed: each phase runs once, in order."""
+    done, before = _PHASES.index(world.completed), _PHASES.index(phase) - 1
+    if done < before:
+        raise SimulationInvariantError(f"{phase} called before {_PHASES[before]}")
+    if done > before:
+        when = "twice on one world" if world.completed == phase else f"after {world.completed}"
+        raise SimulationInvariantError(f"{phase} called {when}")
 
 
 def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorld:
     """Place `n_detectors` loaded detectors at `site` (uniform random over the
     domain when None); all report to the hub whose region contains the site.
     A world is infected once, with at most MAX_HUBS detectors."""
-    if world.detectors:
-        raise SimulationInvariantError("spawn_infection called twice on one world")
+    _start(world, "spawn_infection")
     if not 1 <= n_detectors <= MAX_HUBS:
         raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
     if site is None:
@@ -233,6 +245,7 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     world.site, world.site_hub, world.detectors = site, world.region_of(site), n_detectors
     world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors),
                    [world.site_hub] * n_detectors)
+    world.completed = "spawn_infection"
     return world
 
 
@@ -284,10 +297,7 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
 # phase drains what it scheduled, and simulate drains once, at the end.
 
 def _detect(world: SimWorld, movement: str, step_length: float) -> float:
-    if not world.detectors:
-        raise SimulationInvariantError("run_detection called before spawn_infection")
-    if world.infected_hub is not None:
-        raise SimulationInvariantError("run_detection called after detection completed")
+    _start(world, "run_detection")
     if movement not in ("straight", "random_walk"):
         raise ValueError(f"unknown movement {movement!r}; expected 'straight' or 'random_walk'")
     if movement == "random_walk" and not 0.0 < step_length < math.inf:
@@ -301,7 +311,7 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
         arrivals = [start_time + _walk_arrival_steps(world, world.site, hub_pos, step_length)
                     * step_length / v for _ in range(k)]
     world.schedule(arrivals, "arrival", range(k), [world.site_hub] * k)
-    world.infected_hub = world.site_hub
+    world.completed = "run_detection"
     world.clock = min(arrivals)
     return world.clock - start_time
 
@@ -317,12 +327,12 @@ def run_detection(world: SimWorld, movement: str = "straight",
 
 
 def _recruit(world: SimWorld) -> float:
-    if world.infected_hub is None:
-        raise SimulationInvariantError("run_recruitment called before detection completed")
+    _start(world, "run_recruitment")
     params = world.params
     start_time = world.clock
 
     k, world.pool = _recruitment(world.mass, world.arch, params)
+    world.completed = "run_recruitment"
     if k == 0:
         return 0.0
 
@@ -331,7 +341,7 @@ def _recruit(world: SimWorld) -> float:
     # and the stable sort orders them by index; a key is < 3 n^2 <= 1.2e13,
     # exact in int64, and the infected hub's own key is the only zero
     cells = world.layout.cells
-    scaled = (cells - cells[world.infected_hub]) * world.layout.stride
+    scaled = (cells - cells[world.site_hub]) * world.layout.stride
     order = np.argsort((scaled * scaled).sum(axis=1), kind="stable")
     peers = order[1:k + 1]
     rank = np.arange(1, len(peers) + 1)
@@ -342,7 +352,7 @@ def _recruit(world: SimWorld) -> float:
     else:
         offset = params.contact_latency * rank
     world.schedule((start_time + offset).tolist(), "contact-complete", peers.tolist(),
-                   [world.infected_hub] * len(peers))
+                   [world.site_hub] * len(peers))
     # durations are accumulated relative to the phase start, never as a
     # difference of absolute clocks, so they match the analytic values
     # bit for bit
@@ -361,8 +371,7 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
 
 
 def _expand(world: SimWorld) -> float:
-    if world.pool is None:
-        raise SimulationInvariantError("run_expansion called before recruitment completed")
+    _start(world, "run_expansion")
     params = world.params
     start_time = world.clock
     target = output_target(world.mass, params)  # refuses a target that overflows
@@ -376,7 +385,8 @@ def _expand(world: SimWorld) -> float:
         if ticks > 10_000:
             raise SimulationInvariantError("expansion did not reach the target in 10000 ticks")
     world.schedule([start_time + tick * params.doubling_time for tick in range(1, ticks + 1)],
-                   "doubling-tick", range(1, ticks + 1), [world.infected_hub] * ticks)
+                   "doubling-tick", range(1, ticks + 1), [world.site_hub] * ticks)
+    world.completed = "run_expansion"
     duration = ticks * params.doubling_time
     world.clock = start_time + duration
     return duration

@@ -13,8 +13,7 @@ from detnet.scaling import ArchitectureSpec, ModelParams
 # the emission order the format has always had
 KEY_ORDER = [
     "cognate_frequency", "bcrit_coefficient", "antibody_coefficient", "doubling_time",
-    "detector_speed", "contact_latency", "contention_coefficient",
-    "body_volume_coefficient", "recruitment_composition",
+    "detector_speed", "contact_latency", "contention_coefficient", "recruitment_composition",
     "exponent", "base_hub_count", "base_hub_size", "dimension",
     "masses", "exponents", "mode", "movement", "trials", "seed", "output", "detectors",
     "walk_step", "grid_resolution", "model3_exponent", "site",
@@ -36,7 +35,6 @@ BAD_VALUES = {
     "detector_speed": ["0", "nan"],
     "contact_latency": ["-0.1", "nan", "-inf"],
     "contention_coefficient": ["-1", "nan"],
-    "body_volume_coefficient": ["0", "nan"],
     "recruitment_composition": ["tree"],
     "exponent": ["1.5", "-0.1", "nan"],
     "base_hub_count": ["0.5", "nan"],
@@ -124,7 +122,6 @@ def run_configs(draw):
         detector_speed=draw(positive()),
         contact_latency=draw(st.floats(0.0, 1e6) | st.just(math.inf)),
         contention_coefficient=draw(st.floats(0.0, 1e6)),
-        body_volume_coefficient=draw(positive()),
         recruitment_composition=draw(st.sampled_from(["serial", "parallel"])),
     )
     params = ModelParams(**values)

@@ -281,18 +281,22 @@ def test_dr_extent_examples():
     assert detection_time(16.0, arch(a=0.5), p) / mu == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("M, c_v, volume", [(1e10, 1e300, "inf"), (1e-10, 5e-324, "0.0")])
-def test_body_volume_must_be_finite_and_positive(M, c_v, volume):
-    params = ModelParams(body_volume_coefficient=c_v)
-    message = f"body volume body_volume_coefficient*M = {volume} at M={M} must be finite and > 0"
-    for spatial in (lambda: detection_time(M, arch(), params, "spatial"),
-                    lambda: total_response_time(M, arch(), params, "spatial"),
-                    lambda: optimal_exponent(M, params, "spatial")):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            spatial()
-    # contention mode never reads the volume
-    assert total_response_time(M, arch(), params, "contention").t_total >= 0.0
-    assert optimal_exponent(M, params, "contention")[1].t_total >= 0.0
+# spatial t_detect at M = 1000, a = 0.3, v = 1 of a body of volume c_v * M,
+# by (d, c_v), as computed when the model still had a body volume coefficient
+BODY_VOLUME_T_DETECT = {
+    (1, 0.3): 9.441940588456255, (1, 4.0): 125.89254117941674, (1, 17.0): 535.0433000125212,
+    (2, 0.3): 2.3512735688749538, (2, 4.0): 8.585637150256593, (2, 17.0): 17.69974441686747,
+    (3, 0.3): 1.6114470323290269, (3, 4.0): 3.821163439887665, (3, 17.0): 6.189543087235071,
+}
+
+
+@pytest.mark.parametrize("d, c_v", sorted(BODY_VOLUME_T_DETECT))
+def test_a_body_volume_coefficient_is_a_detector_speed(d, c_v):
+    # lengths are in (volume per unit mass)^(1/d): the body of volume c_v * M
+    # is the unit-volume body with v divided by c_v^(1/d)
+    p = ModelParams(detector_speed=1.0 / c_v ** (1.0 / d))
+    assert detection_time(1000.0, arch(a=0.3, d=d), p) == \
+        pytest.approx(BODY_VOLUME_T_DETECT[d, c_v], rel=1e-15)
 
 
 def test_mean_center_distance_against_independent_monte_carlo():
@@ -619,8 +623,8 @@ def test_optimizer_matches_brute_force_scan():
             contact_latency=float(rng.uniform(0.0, 1.0)),
             contention_coefficient=float(rng.uniform(0.0, 1.0)),
             detector_speed=float(rng.uniform(0.1, 10.0)),
-            body_volume_coefficient=float(rng.uniform(0.1, 10.0)),
         )
+        rng.uniform(0.1, 10.0)  # drawn and unused, so the 30 trials keep their random stream
         mode = "spatial" if rng.random() < 0.5 else "contention"
         resolution = float(rng.choice([0.01, 0.02, 0.05, 0.04]))
         got_a, got_bd = optimal_exponent(M, p, mode, resolution, base)
@@ -777,8 +781,9 @@ def test_grid_kernel_keeps_the_scalar_errors():
         (1e-322, tiny_pool, off, "contention", [1.0, 0.5, 0.0]),
         # the same with recruitment on: no peer can be recruited from
         (1e-322, tiny_pool, ModelParams(cognate_frequency=1e-9), "contention", [1.0, 0.5, 0.0]),
-        # the hub count overflows at a = 1 only
+        # the hub count overflows at a = 1 only, also as the grid's only point
         (1e10, arch(n0=1e300), ModelParams(), "spatial", [0.0, 0.5, 1.0]),
+        (1e10, arch(n0=1e300), ModelParams(), "spatial", [1.0]),
         # the deficit over the local pool is infinite
         (1.0, arch(n0=1e308, s0=1e300), ModelParams(bcrit_coefficient=math.inf), "spatial",
          [0.0, 1.0]),
@@ -791,13 +796,6 @@ def test_grid_kernel_keeps_the_scalar_errors():
         # the output target underflows to 0 at every point: B_target must be > 0
         (1e-5, arch(), ModelParams(antibody_coefficient=5e-324,
                                    contact_latency=RECRUITMENT_DISABLED), "spatial", [0.0, 1.0]),
-        # the body volume c_v * M overflows to inf, or underflows to 0
-        (1e10, arch(), ModelParams(body_volume_coefficient=1e300), "spatial", [0.0, 0.5, 1.0]),
-        (1e-10, arch(), ModelParams(body_volume_coefficient=5e-324), "spatial", [0.0, 1.0]),
-        # the volume is refused before the overflowing target, as in the scalar path
-        (1e308, arch(), ModelParams(body_volume_coefficient=1e300), "spatial", [0.0, 1.0]),
-        # and before the overflowing hub count
-        (1e10, arch(n0=1e300), ModelParams(body_volume_coefficient=1e300), "spatial", [1.0]),
     ]
     for M, base, params, mode, exponents in cases:
         with pytest.raises(ValueError) as scalar:
@@ -836,16 +834,15 @@ def outcome(evaluate):
     composition=st.sampled_from(["serial", "parallel"]),
     rho=st.floats(0.0, 2.0),
     speed=st.floats(0.1, 10.0),
-    volume=st.floats(0.1, 10.0),
     mode=st.sampled_from(["spatial", "contention"]),
 )
 def test_grid_kernel_property(log_mass, a, d, n0, s0, bcrit, latency, composition,
-                              rho, speed, volume, mode):
+                              rho, speed, mode):
     M = 10.0 ** log_mass
     base = arch(n0=n0, s0=s0, d=d)
     params = ModelParams(bcrit_coefficient=bcrit, contact_latency=latency,
                          recruitment_composition=composition, contention_coefficient=rho,
-                         detector_speed=speed, body_volume_coefficient=volume)
+                         detector_speed=speed)
     exponents = [0.0, a, 1.0]
 
     def kernel_rows():
@@ -899,8 +896,6 @@ EXCLUDED_CHANGES = {
     "lambda=0.1": ({}, dict(params=ModelParams(antibody_coefficient=16.0, contact_latency=0.1))),
     "detector_speed": ({}, dict(params=ModelParams(antibody_coefficient=16.0,
                                                    detector_speed=2.5))),
-    "body_volume_coefficient": ({}, dict(params=ModelParams(antibody_coefficient=16.0,
-                                                            body_volume_coefficient=3.0))),
 }
 
 
@@ -998,18 +993,17 @@ def test_scalar_path_at_the_optimum_is_the_optimizers_breakdown(M, kind, mode):
     sides=st.lists(st.tuples(st.sampled_from([1, 2, 3]),
                              st.sampled_from(["spatial", "contention"]),
                              st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-                             st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+                             st.floats(0.1, 10.0)),
                    min_size=2, max_size=2),
 )
 def test_memo_warm_equals_cold_property(log_mass, n0, bcrit, recruits, composition,
                                         resolution, sides):
     # two calls that share every key field and differ in everything else
     calls = []
-    for d, mode, rho, latency, speed, volume in sides:
+    for d, mode, rho, latency, speed in sides:
         params = ModelParams(bcrit_coefficient=bcrit, recruitment_composition=composition,
                              contact_latency=latency if recruits else RECRUITMENT_DISABLED,
-                             contention_coefficient=rho, detector_speed=speed,
-                             body_volume_coefficient=volume)
+                             contention_coefficient=rho, detector_speed=speed)
         calls.append((10.0 ** log_mass, arch(n0=n0, d=d), params, mode, resolution))
 
     def cold(call):

@@ -113,6 +113,16 @@ def test_oversized_world_refused():
         build_world(1e8, arch(a=1.0), ModelParams(), seed=1)
 
 
+def test_build_world_refuses_the_mass_before_feasibility():
+    infeasible = ModelParams(cognate_frequency=1e-7)
+    with pytest.raises(InfeasibleParametersError):
+        build_world(16.0, ArchitectureSpec(), infeasible, 1)
+    for refuse in (lambda: build_world(math.nan, ArchitectureSpec(), infeasible, 1),
+                   lambda: total_response_time(math.nan, ArchitectureSpec(), infeasible)):
+        with pytest.raises(ValueError, match=r"^mass ratio M must be finite and > 0, got nan$"):
+            refuse()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_oversized_world_refusal_prices_the_arrays_a_world_keeps(d):
     small = build_world(16.0, arch(d=d), ModelParams(), seed=1).layout
@@ -153,7 +163,7 @@ def test_world_fields_are_pinned():
     # one infection per world: a site, its hub and a detector count
     assert [f.name for f in dataclasses.fields(SimWorld)] == [
         "mass", "arch", "params", "layout", "site", "site_hub", "detectors", "clock", "rng",
-        "infected_hub", "pool", "_events"]
+        "completed", "pool", "_events"]
 
 
 def test_worlds_of_one_layout_share_no_mutable_state():
@@ -163,7 +173,8 @@ def test_worlds_of_one_layout_share_no_mutable_state():
     spawn_infection(first, n_detectors=2)
     run_detection(first)
     assert (second.site, second.site_hub, second.detectors) == (None, None, 0)
-    assert second.infected_hub is None and second.clock == 0.0 and len(second.drain(0)) == 0
+    assert second.completed == "build_world" and second.clock == 0.0
+    assert len(second.drain(0)) == 0
     assert all(a is not b for a, b in zip(first._events, second._events))
     assert second.rng is not first.rng
     spawn_infection(second, n_detectors=2)
@@ -175,7 +186,7 @@ def test_worlds_of_one_layout_share_no_mutable_state():
 
 
 @pytest.mark.parametrize("spec, params", [
-    (arch(), ModelParams(body_volume_coefficient=4.0)),
+    (arch(a=0.75), ModelParams()),
     (arch(n0=2.0), ModelParams()),
     (arch(s0=2.0e6), ModelParams()),
     (arch(d=3), ModelParams()),
@@ -187,7 +198,7 @@ def test_layout_memo_keys_on_everything_the_tiling_reads(spec, params):
     world = build_world(M, spec, params, seed=1)  # right after base: a memo hit if keyed wrongly
     rounded = hub_count(M, spec)[1]
     assert world.layout is not base.layout
-    assert world.extent == (params.body_volume_coefficient * M) ** (1.0 / spec.dimension)
+    assert world.extent == M ** (1.0 / spec.dimension)
     assert len(world.grid_shape) == spec.dimension and math.prod(world.grid_shape) == rounded
     for array in (world.centers, world.layout.cells):
         assert array.shape == (rounded, spec.dimension)
@@ -434,7 +445,7 @@ def test_run_detection_needs_a_spawn_and_runs_once():
         run_detection(world)
     spawn_infection(world, n_detectors=2)
     run_detection(world)
-    with pytest.raises(SimulationInvariantError, match="after detection completed"):
+    with pytest.raises(SimulationInvariantError, match="run_detection called twice"):
         run_detection(world)
 
 
@@ -448,6 +459,26 @@ def test_spawn_infection_runs_once():
     assert world.site is site and world.site.tolist() == [0.5, 3.5]
     assert (world.site_hub, world.detectors) == (hub, 2)
     assert world.drain(0) == events
+
+
+def test_recruitment_and_expansion_run_once_and_in_order():
+    world = build_world(64.0, arch(), ModelParams(), seed=1)
+    spawn_infection(world)
+    run_detection(world)
+
+    def refused(phase, message):  # raises and leaves the world as it was
+        state = (world.clock, world.pool, world.completed, world.drain(0))
+        with pytest.raises(SimulationInvariantError, match=f"^{message}$"):
+            phase(world)
+        assert (world.clock, world.pool, world.completed, world.drain(0)) == state
+
+    refused(run_expansion, "run_expansion called before run_recruitment")
+    assert len(run_recruitment(world)[1]) == 7
+    refused(run_recruitment, "run_recruitment called twice on one world")
+    run_expansion(world)
+    refused(run_expansion, "run_expansion called twice on one world")
+    for phase in (run_recruitment, run_detection, spawn_infection):
+        refused(phase, f"{phase.__name__} called after run_expansion")
 
 
 @pytest.mark.parametrize("n_detectors", [0, MAX_HUBS + 1, 10 ** 12])
@@ -488,7 +519,8 @@ def test_straight_detectors_all_arrive_after_the_sites_distance_over_speed(site)
     assert [r.kind for r in records] == ["spawn"] * 3 + ["arrival"] * 3
     assert [r.time for r in records if r.kind == "arrival"] == [expected] * 3
     assert [(r.subject, r.hub) for r in records] == [(i, hub) for i in range(3)] * 2
-    assert (world.infected_hub, world.clock, t_detect) == (hub, expected, expected - start)
+    assert (world.completed, world.clock, t_detect) == ("run_detection", expected,
+                                                        expected - start)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +564,12 @@ def test_recruitment_zero_when_local_pool_suffices():
 
 
 def test_recruitment_contacts_by_distance_then_index():
-    # M = 100 tiles as 10 x 10 cells of width sqrt(5): (3, 4) and (5, 0)
-    # cells away tie
-    volume5 = ModelParams(body_volume_coefficient=5.0)
-    for M, a, params in [(256.0, 0.5, None), (100.0, 1.0, volume5)]:
-        world = _run_through_recruitment(M, a, params=params)
+    # M = 500 at a = 0.741 tiles as 10 x 10 cells of width sqrt(5): (3, 4)
+    # and (5, 0) cells away tie
+    for M, a in [(256.0, 0.5), (500.0, 0.741)]:
+        world = _run_through_recruitment(M, a)
         _, log = run_recruitment(world)
-        origin = world.centers[world.infected_hub]
+        origin = world.centers[world.site_hub]
         keys = []
         for r in log:
             if r.kind == "contact-complete":
@@ -548,19 +579,20 @@ def test_recruitment_contacts_by_distance_then_index():
         assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("M, a, d, volume, shape, stride", [
-    (128.0, 0.5, 2, 1.0, (11, 1), 1),
-    (2048.0, 0.5, 2, 1.0, (9, 5), 1),
+@pytest.mark.parametrize("M, a, d, shape, stride", [
+    (128.0, 0.5, 2, (11, 1), 1),
+    (2048.0, 0.5, 2, (9, 5), 1),
     # Pythagorean ties, not only permuted offsets: (3, 4) against (5, 0)
     # cells away where cells are square, (5, 0) against (3, 2) where they are
     # twice as long on one axis (16 x 8); 14 to 19 hubs are infected in turn
-    (128.0, 1.0, 2, 1.0, (16, 8), 7),
-    (512.0, 1.0, 3, 1.0, (8, 8, 8), 37),
-    (1000.0, 1.0, 2, 1.0, (40, 25), 67),
-    (100.0, 1.0, 2, 5.0, (10, 10), 7),
-], ids=["128.0", "2048.0", "128.0-16x8", "512.0-8x8x8", "1000.0-40x25", "100.0-10x10-volume5"])
-def test_equidistant_peers_contacted_in_index_order(M, a, d, volume, shape, stride):
-    spec, p = arch(a=a, d=d), ModelParams(body_volume_coefficient=volume)
+    (128.0, 1.0, 2, (16, 8), 7),
+    (512.0, 1.0, 3, (8, 8, 8), 37),
+    (1000.0, 1.0, 2, (40, 25), 67),
+    # cells of irrational width sqrt(5)
+    (500.0, 0.741, 2, (10, 10), 7),
+], ids=["128.0", "2048.0", "128.0-16x8", "512.0-8x8x8", "1000.0-40x25", "500.0-10x10"])
+def test_equidistant_peers_contacted_in_index_order(M, a, d, shape, stride):
+    spec, p = arch(a=a, d=d), ModelParams()
     assert build_world(M, spec, p, seed=0).grid_shape == shape
     cells = list(np.ndindex(*shape))
     exact = {}  # squared distance in units of the extent, by whole-cell offset
