@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -249,42 +249,53 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     return world
 
 
+def _norms(x: np.ndarray) -> np.ndarray | float:
+    """Lengths along the last axis of an offset or rows, bit for bit as np.linalg.norm,
+    but |x| in 1-D, where sqrt(x * x) underflows or overflows."""
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
+    if x.ndim == 1:
+        return math.sqrt(x.dot(x))
+    return np.sqrt(reduce(np.add, (x * x).T))  # column by column: (a + b) + c, as add.reduce
+
+
 def _fold(x: np.ndarray, extent: float) -> np.ndarray:
-    """Fold free coordinates into [0, extent] by the method of images: a free
-    path folded this way is the path reflected off the domain walls."""
-    return extent - np.abs(np.mod(x, 2.0 * extent) - extent)
+    """Fold free coordinates into [0, extent], in place, by the method of images:
+    a free path folded this way is the path reflected off the domain walls. Its
+    remainder is np.mod's (fmod, plus the period where below 0) up to a zero's sign."""
+    period = 2.0 * extent
+    np.fmod(x, period, out=x)
+    np.add(x, period, out=x, where=x < 0.0)
+    return np.subtract(extent, np.abs(np.subtract(x, extent, out=x), out=x), out=x)
 
 
 def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
                         step_length: float) -> int:
-    """Steps until a fixed-length random walk enters the absorption radius
-    (one step length) around the hub; reflects off domain walls.
-
-    Steps are drawn in blocks; each block's free path is a cumulative sum,
-    folded into the domain and tested for absorption at once."""
-    if float(np.linalg.norm(start - hub_pos)) <= step_length:
-        return 0
+    """Steps until a fixed-length random walk from beyond the absorption radius (one
+    step length) around the hub enters it, reflecting off the domain walls. Steps are
+    drawn in blocks; each block's free path is summed, folded and tested in place."""
     rng, d, extent = world.rng, world.arch.dimension, world.extent
     free = start.copy()  # free (unfolded) position, kept within [0, 2 * extent)
     taken, block = 0, _WALK_BLOCK
     while taken < _WALK_MAX_STEPS - 1:
         n = min(block, _WALK_MAX_STEPS - 1 - taken)
         if d == 1:
-            steps = np.where(rng.random((n, 1)) < 0.5, 1.0, -1.0)
+            path = np.where(rng.random((n, 1)) < 0.5, step_length, -step_length)
         else:
-            steps = rng.normal(size=(n, d))
-            norms = np.linalg.norm(steps, axis=1)
-            while not norms.all():  # redraw directionless (zero) vectors
+            path = rng.normal(size=(n, d))
+            norms = _norms(path)
+            while np.count_nonzero(norms) < n:  # redraw directionless (zero) vectors
                 zero = norms == 0.0
-                steps[zero] = rng.normal(size=(int(zero.sum()), d))
-                norms = np.linalg.norm(steps, axis=1)
-            steps /= norms[:, None]
-        path = free + np.cumsum(step_length * steps, axis=0)
-        dist = np.linalg.norm(_fold(path, extent) - hub_pos, axis=1)
-        hit = np.flatnonzero(dist <= step_length)
-        if hit.size:
-            return taken + int(hit[0]) + 1
+                path[zero] = rng.normal(size=(int(zero.sum()), d))
+                norms = _norms(path)
+            path /= norms[:, None]
+            path *= step_length
+        np.add(np.add.accumulate(path, out=path), free, out=path)  # free + cumsum
         free = np.mod(path[-1], 2.0 * extent)  # folding has period 2 * extent
+        hit = _norms(np.subtract(_fold(path, extent), hub_pos, out=path)) <= step_length
+        first = int(hit.argmax())
+        if hit[first]:
+            return taken + first + 1
         taken += n
         block = min(2 * block, _WALK_BLOCK_CAP)
     raise WalkLimitError(
@@ -305,8 +316,11 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
 
     start_time = world.clock
     v, k, hub_pos = world.params.detector_speed, world.detectors, world.centers[world.site_hub]
+    distance = float(_norms(world.site - hub_pos))
     if movement == "straight":
-        arrivals = [start_time + float(np.linalg.norm(world.site - hub_pos)) / v] * k
+        arrivals = [start_time + distance / v] * k
+    elif distance <= step_length:  # every walker starts within reach: no steps
+        arrivals = [start_time] * k
     else:  # one walk per detector, each drawing from the RNG in turn
         arrivals = [start_time + _walk_arrival_steps(world, world.site, hub_pos, step_length)
                     * step_length / v for _ in range(k)]

@@ -1,7 +1,8 @@
 """Golden byte-identity of `detnet simulate`: the CSV and `.events` digests of
 small configs that exercise every event-ordering case (ties between an
-arrival and zero-latency contacts, parallel waves, d = 3, random walks and
-tied arrivals at a fixed site). A changed drain order changes a digest."""
+arrival and zero-latency contacts, parallel waves, d = 1 and 3, random walks
+in 1, 2 and 3 dimensions and tied arrivals at a fixed site). A changed drain
+order or walk changes a digest."""
 
 import hashlib
 
@@ -48,6 +49,27 @@ GOLDEN = {
         "8aec3b11345753c1eba274de8d09d749758cfd39f304cf1224e028dacda681ea",
         "b0aa30493dea1fdef4e3b502f87cd679fc368ec6973c5d362138427056d88215",
         80,
+    ),
+    # recorded before the random walk folded and measured its blocks in place
+    "dimension-1": (
+        "masses = 16 100\nexponent = 0.5\ndimension = 1\ntrials = 2\nseed = 17\n",
+        "d6865ec597f330e3f0b2670b417c17a1fcbd568b3e882429c9ff1d1fe42f738f",
+        "2748add82fd330f52b63d821ef565f594eb5cd9d90b6c3383a914df6e61872c2",
+        52,
+    ),
+    "random-walk-1d": (
+        "masses = 16\nexponent = 0.5\ndimension = 1\nmovement = random_walk\n"
+        "walk_step = 0.2\ndetectors = 3\ntrials = 3\nseed = 19\n",
+        "bee0a910496a9c6a241aa955ac2c8ba06c9b669b43a74843006c6d292581b893",
+        "08004f9021f61ce696296eb72b837629da1f77e43c36d140870d61ee907ca91b",
+        42,
+    ),
+    "random-walk-3d": (
+        "masses = 8 27\nexponent = 1\ndimension = 3\nmovement = random_walk\n"
+        "walk_step = 0.3\ndetectors = 2\ntrials = 3\nseed = 23\n",
+        "d14a3c1b2d79f079aa9b0a03f92d5b745315fc21303d7831357f05361fa4d0fc",
+        "8bbdfcb6f8d5057d05567a31267697d3990bcabb643e0653df0a1ad451f49e1f",
+        153,
     ),
 }
 

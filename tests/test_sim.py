@@ -4,10 +4,13 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from detnet.scaling import (
     ArchitectureSpec,
@@ -30,6 +33,7 @@ from detnet.sim import (
     WalkLimitError,
     _fold,
     _layout,
+    _norms,
     build_world,
     run_detection,
     run_expansion,
@@ -416,6 +420,80 @@ def test_walk_step_limit_is_a_configuration_error():
     assert isinstance(err.value, ValueError)
     message = str(err.value)
     assert "0.0001" in message and "100" in message and "1000000" in message
+
+
+class ZeroRowsGenerator:
+    """A generator whose normal() blocks get the given rows zeroed, one list
+    per call until the lists run out; it records the size of every call."""
+
+    def __init__(self, seed, zero_rows):
+        self._rng, self._zero_rows, self.sizes = np.random.default_rng(seed), list(zero_rows), []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        block = self._rng.normal(size=size)
+        if self._zero_rows:
+            block[self._zero_rows.pop(0)] = 0.0
+        return block
+
+
+def test_walk_redraws_directionless_steps():
+    # rows 0, 9 and 63 of the first block have no direction, and so does row 1
+    # of their redraw; the draws and the step count are those of the block
+    # walker that measured its rows with np.linalg.norm
+    p = ModelParams()
+    world = build_world(16.0, arch(), p, seed=0)
+    spawn_infection(world, site=[0.3, 3.1])
+    world.rng = ZeroRowsGenerator(5, [[0, 9, 63], [1]])
+    t, _ = run_detection(world, "random_walk", 0.2)
+    assert world.rng.sizes == [(64, 2), (3, 2), (1, 2), (128, 2), (256, 2), (512, 2)]
+    assert t == 507 * 0.2 / p.detector_speed
+
+
+@st.composite
+def free_blocks(draw):
+    """A block of free walk coordinates, (n, d) for d in 1..3, and an extent.
+    Its entries mix ordinary values with +-0.0, exact multiples of the period
+    2 * extent (negative ones too) and negatives so small that fmod's remainder
+    plus the period rounds to the period."""
+    d, extent = draw(st.integers(1, 3)), draw(st.floats(1e-3, 1e3))
+    entries = st.one_of(st.floats(-1e4 * extent, 1e4 * extent),
+                        st.sampled_from([0.0, -0.0, -5e-324, -1e-300]),
+                        st.integers(-1000, 1000).map(lambda i: i * 2.0 * extent))
+    shape = st.tuples(st.integers(1, 40), st.just(d))
+    return draw(hnp.arrays(np.float64, shape, elements=entries)), extent
+
+
+@given(free_blocks())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_walk_norms_and_fold_are_numpys_bit_for_bit(block):
+    x, extent = block
+    folded = _fold(x.copy(), extent)
+    assert folded.tobytes() == (extent - np.abs(np.mod(x, 2.0 * extent) - extent)).tobytes()
+    norms, numpys = _norms(x), np.linalg.norm(x, axis=1)
+    if x.shape[1] == 1:  # |x|, which sqrt(x * x) is wherever x * x is 0 or normal
+        assert norms.tobytes() == np.abs(x[:, 0]).tobytes()
+        square = x[:, 0] * x[:, 0]
+        exact = (x[:, 0] == 0.0) | (square >= np.finfo(float).tiny)
+        assert norms[exact].tobytes() == numpys[exact].tobytes()
+    else:
+        assert norms.tobytes() == numpys.tobytes()
+        assert _norms(x[0]) == np.linalg.norm(x[0])
+
+
+@pytest.mark.parametrize("M", [1e-300, 1e300])
+def test_one_dimensional_straight_detection_neither_underflows_nor_overflows(M):
+    # one hub at M / 2 (a = 0); the squared offset underflows to 0 at
+    # M = 1e-300 and overflows to inf at M = 1e300, but its length does not
+    p = ModelParams(detector_speed=2.0)
+    for seed in range(20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            world = build_world(M, arch(a=0.0, d=1), p, seed=seed)
+            spawn_infection(world)
+            t, _ = run_detection(world)
+        assert t == abs(float(world.site[0]) - float(world.centers[0, 0])) / 2.0
+        assert 0.0 < t < math.inf
 
 
 def test_run_detection_validates_movement():
