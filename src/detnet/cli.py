@@ -10,24 +10,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from detnet.config import ConfigError, RunConfig, parse_config
-from detnet.scaling import (
-    InfeasibleParametersError,
-    sweep,
-    total_response_time,
-)
-from detnet.scenarios import PROFILE_NAMES, evaluate_scenario, profile_from_name, scenario_table
+from detnet.scaling import InfeasibleParametersError, sweep, total_response_time
+from detnet.scenarios import (MODEL_NAMES, PROFILE_NAMES, evaluate_scenario, profile_from_name,
+                              scenario_table)
 from detnet.sim import EventRecord, simulate
 
 __all__ = ["dispatch", "main", "write_csv", "CsvRow", "UsageError"]
 
-CSV_HEADER = "M,a,model,mode,t_detect,t_recruit,t_expand,t_total,seed,trial"
 SUMMARY_TRIAL = -1  # sentinel for rows that aggregate or do not run trials
 
 
@@ -35,10 +32,10 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CsvRow:
-    mass: float
-    exponent: float
+class CsvRow(NamedTuple):
+    """One row of the timing CSV; the fields are its columns, in order."""
+    M: float
+    a: float
     model: str
     mode: str
     t_detect: float
@@ -49,22 +46,19 @@ class CsvRow:
     trial: int
 
 
+CSV_HEADER = ",".join(CsvRow._fields)
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.9g}"
     return str(x)
 
 
-def write_csv(rows, path) -> None:
-    """Write rows under the fixed timing schema; zero rows gives a
-    header-only file."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            _fmt(r.mass), _fmt(r.exponent), r.model, r.mode,
-            _fmt(r.t_detect), _fmt(r.t_recruit), _fmt(r.t_expand), _fmt(r.t_total),
-            _fmt(r.seed), _fmt(r.trial),
-        )))
+def write_csv(rows, path, header: str = CSV_HEADER) -> None:
+    """Write `header` (the timing schema by default), then one line per row
+    of its fields through `_fmt`; zero rows gives a header-only file."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
@@ -141,7 +135,7 @@ def _cmd_simulate(args) -> int:
     events = []  # per trial: a trial-begin marker line, then the trial's log
     n_events = 0
     for M in cfg.masses:
-        detect, recruit, expand = [], [], []
+        phases = []  # per trial: (t_detect, t_recruit, t_expand)
         for trial in range(cfg.trials):
             trial_seed = cfg.seed + trial
             bd, log = simulate(M, cfg.arch, cfg.params, trial_seed,
@@ -153,15 +147,9 @@ def _cmd_simulate(args) -> int:
             events.append(EventRecord(0.0, "trial-begin", trial, -1).to_line() + "\n")
             events.append(log.to_text())
             n_events += 1 + len(log)
-            detect.append(bd.t_detect)
-            recruit.append(bd.t_recruit)
-            expand.append(bd.t_expand)
-        mean_detect = float(np.mean(detect))
-        mean_recruit = float(np.mean(recruit))
-        mean_expand = float(np.mean(expand))
-        rows.append(CsvRow(M, cfg.arch.exponent, "sim", cfg.movement,
-                           mean_detect, mean_recruit, mean_expand,
-                           mean_detect + mean_recruit + mean_expand,
+            phases.append((bd.t_detect, bd.t_recruit, bd.t_expand))
+        means = [float(np.mean(column)) for column in zip(*phases)]
+        rows.append(CsvRow(M, cfg.arch.exponent, "sim", cfg.movement, *means, sum(means),
                            cfg.seed, SUMMARY_TRIAL))
 
     write_csv(rows, cfg.output)
@@ -176,21 +164,19 @@ def _cmd_scenario(args) -> int:
     if args.profile == "all":
         table = scenario_table(cfg.params, cfg.masses, cfg.arch, cfg.grid_resolution,
                                model3_exponent=cfg.model3_exponent, mode=cfg.mode)
-        lines = ["profile,winner"] + [f"{name},{winner}" for name, winner in table]
         for name, winner in table:
             print(f"{name}: {winner}")
+        write_csv(table, cfg.output, "profile,winner")
     else:
         verdict = evaluate_scenario(profile_from_name(args.profile), cfg.masses, cfg.params,
                                     cfg.model3_exponent, cfg.arch, cfg.grid_resolution, cfg.mode)
-        lines = ["profile,M,winner,model1_total,model2_total,model3_total,model3_exponent"]
-        for v in verdict.per_mass:
-            totals = [v.breakdowns[m].t_total for m in ("model1", "model2", "model3")]
-            lines.append(",".join([args.profile, _fmt(v.mass), v.winner,
-                                   *(_fmt(t) for t in totals), _fmt(v.model3_exponent)]))
-        lines.append(",".join([args.profile, "overall", verdict.overall_winner,
-                               "-", "-", "-", "-"]))
+        rows = [(args.profile, v.mass, v.winner, *(v.breakdowns[m].t_total for m in MODEL_NAMES),
+                 v.model3_exponent) for v in verdict.per_mass]
+        rows.append((args.profile, "overall", verdict.overall_winner, "-", "-", "-", "-"))
         print(f"{args.profile}: {verdict.overall_winner}")
-    Path(cfg.output).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        header = ["profile", "M", "winner", *(f"{m}_total" for m in MODEL_NAMES),
+                  "model3_exponent"]
+        write_csv(rows, cfg.output, ",".join(header))
     return 0
 
 

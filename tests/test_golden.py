@@ -1,14 +1,22 @@
-"""Golden byte-identity of `detnet simulate`: the CSV and `.events` digests of
-small configs that exercise every event-ordering case (ties between an
-arrival and zero-latency contacts, parallel waves, d = 1 and 3, random walks
-in 1, 2 and 3 dimensions and tied arrivals at a fixed site). A changed drain
-order or walk changes a digest."""
+"""Golden byte-identity of the CLI's outputs.
+
+`detnet simulate`: the CSV and `.events` digests of small configs that
+exercise every event-ordering case (ties between an arrival and zero-latency
+contacts, parallel waves, d = 1 and 3, random walks in 1, 2 and 3 dimensions
+and tied arrivals at a fixed site). A changed drain order or walk changes a
+digest.
+
+The analytic commands: one digest per command over the outputs of every
+(dimension, mode, recruitment composition) config, in that order. A changed
+writer, format or law changes a digest."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from detnet.cli import dispatch
+from detnet.scenarios import PROFILE_NAMES
 
 GOLDEN = {
     "modular-straight": (
@@ -91,3 +99,44 @@ def test_simulate_outputs_are_byte_identical(name, tmp_path, capsys):
     assert run_simulate(tmp_path, text) == (csv_sha, events_sha, n_events)
     assert capsys.readouterr().out.endswith(f" and {n_events} events to {tmp_path}"
                                             "/golden.csv.events\n")
+
+
+ANALYTIC_CONFIGS = [
+    f"dimension = {d}\nmode = {mode}\nrecruitment_composition = {composition}\n"
+    "masses = 0.01 1 100 1e4 1e6 1e10\ngrid_resolution = 0.001\n"
+    for d, mode, composition in itertools.product((1, 2, 3), ("spatial", "contention"),
+                                                   ("serial", "parallel"))
+]
+
+# command -> (argv, sha256 of its outputs over ANALYTIC_CONFIGS): the CSV, or
+# stdout for `analyze`, which writes no file
+ANALYTIC_GOLDEN = {
+    "sweep": (["sweep"],
+              "70255f468558773a416afed4d0cf6d75404017f914cd495126a20c9f0629b713"),
+    "scenario-all": (["scenario", "--profile", "all"],
+                     "00e6ded996e31bd4e31f1da0ebb701320eb360da89969750cf8f9a29144d9764"),
+    **{f"scenario-{profile}": (["scenario", "--profile", profile], sha)
+       for profile, sha in zip(PROFILE_NAMES, (
+           "e60639e70d4cd3e5d84e5f1bc26f70ab0be71c6675fec900994b764045c8de5e",
+           "37bd19d7c909eecd25f4d49ac8d7e5b88104bd37a3fd96d03e1444369f4c6e24",
+           "4e1aa427917d2b7f362aa9339609a0f245cb450e282986a49cfc951ced459338",
+           "6401812e0bc2800ed5c2d625c3257500c38da1d9a105e6ed3b17d96d92bed986",
+       ))},
+    "analyze": (["analyze", "--mass", "256", "--exponent", "0.5"],
+                "cd32c4b521c4e6f960d3aac877d2a5d934ebe4bb3879fa4d9f95736c8ba9f948"),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYTIC_GOLDEN))
+def test_analytic_outputs_are_byte_identical(name, tmp_path, capsys):
+    argv, sha = ANALYTIC_GOLDEN[name]
+    out = tmp_path / "golden.csv"
+    cfg = tmp_path / "golden.cfg"
+    digest = hashlib.sha256()
+    for text in ANALYTIC_CONFIGS:
+        out.unlink(missing_ok=True)
+        cfg.write_text(text + f"output = {out}\n")
+        assert dispatch([*argv, "--config", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        digest.update(stdout.encode() if name == "analyze" else out.read_bytes())
+    assert digest.hexdigest() == sha

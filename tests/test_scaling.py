@@ -1,10 +1,13 @@
 """Unit tests for the closed-form scaling laws and the exponent optimizer."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -745,6 +748,38 @@ def test_grid_kernel_matches_scalar_path_on_a_warm_memo(name):
                     assert bits(bd.t_detect, bd.t_recruit, bd.t_expand, bd.t_total) == \
                         scalar_bits(M, base, params, mode, a), (M, a, base, mode)
     assert _cached_terms.cache_info().hits > warm.hits
+
+
+# The sha256 of full-precision sweep rows and grid-1e-3 optima over 25 masses
+# from 1e-2 to 1e10, every dimension, mode and recruitment composition.
+CPU_PROBE = """
+import hashlib, itertools
+from detnet.scaling import ArchitectureSpec, ModelParams, optimal_exponent, sweep
+masses = [10.0 ** (k / 2) for k in range(-4, 21)]  # Python's pow, not numpy's
+exponents = [i / 20 for i in range(21)]
+digest = hashlib.sha256()
+for d, mode, composition in itertools.product((1, 2, 3), ("spatial", "contention"),
+                                               ("serial", "parallel")):
+    params, arch = ModelParams(recruitment_composition=composition), ArchitectureSpec(dimension=d)
+    digest.update(repr(sweep(masses, exponents, params, mode, arch)).encode())
+    digest.update(repr([optimal_exponent(M, params, mode, 1e-3, arch) for M in masses]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_analytic_results_do_not_depend_on_the_cpu():
+    # numpy picks its SIMD loops by CPU; on an AVX-512 host, numpy's power
+    # and log2 differ in the last bit between these two runs, libm's do not.
+    # numpy ignores a feature name it does not know, so this runs anywhere.
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(detnet.__file__).parents[1])
+    hashes = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+        proc = subprocess.run([sys.executable, "-c", CPU_PROBE], env={**env, **disabled},
+                              capture_output=True, text=True, check=False, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert len(hashes[0]) == 65 and hashes[0] == hashes[1]
 
 
 def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
