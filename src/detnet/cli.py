@@ -164,19 +164,19 @@ def _cmd_scenario(args) -> int:
     if args.profile == "all":
         table = scenario_table(cfg.params, cfg.masses, cfg.arch, cfg.grid_resolution,
                                model3_exponent=cfg.model3_exponent, mode=cfg.mode)
+        write_csv(table, cfg.output, "profile,winner")
         for name, winner in table:
             print(f"{name}: {winner}")
-        write_csv(table, cfg.output, "profile,winner")
     else:
         verdict = evaluate_scenario(profile_from_name(args.profile), cfg.masses, cfg.params,
                                     cfg.model3_exponent, cfg.arch, cfg.grid_resolution, cfg.mode)
         rows = [(args.profile, v.mass, v.winner, *(v.breakdowns[m].t_total for m in MODEL_NAMES),
                  v.model3_exponent) for v in verdict.per_mass]
         rows.append((args.profile, "overall", verdict.overall_winner, "-", "-", "-", "-"))
-        print(f"{args.profile}: {verdict.overall_winner}")
         header = ["profile", "M", "winner", *(f"{m}_total" for m in MODEL_NAMES),
                   "model3_exponent"]
         write_csv(rows, cfg.output, ",".join(header))
+        print(f"{args.profile}: {verdict.overall_winner}")
     return 0
 
 

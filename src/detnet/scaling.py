@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -392,10 +391,9 @@ def exponent_grid(resolution: float) -> np.ndarray:
 _MEMO_BUDGET = 2 ** 14
 
 
-def _libm(func, *operands) -> np.ndarray:
-    # func per element through libm; each operand is an array or a scalar
-    return np.fromiter(map(func, *(x.tolist() if isinstance(x, np.ndarray) else repeat(float(x))
-                                   for x in operands)), dtype=float)
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2 per element: numpy has no generic float64 log2 loop
+    return np.fromiter(map(math.log2, x.tolist()), dtype=float)
 
 
 def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
@@ -405,14 +403,16 @@ def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
     the recruitment units (k, or log2(k + 1) in parallel) and t_expand.
 
     Exact operations (+ - * /, ceil, rint, minimum, where) run on whole
-    arrays in the scalar path's order; pow and log2 run per element through
-    libm, as Python does, since numpy's SIMD ones can differ in the last bit.
+    arrays in the scalar path's order. pow runs through `np.float_power`,
+    whose float64 loop calls libm's pow per element, as Python's ** does;
+    log2 runs per element through `math.log2`, since numpy's SIMD power and
+    log2 loops can differ from libm in the last bit.
     `where` keeps Python min/max's first argument unless the second is better.
     """
     with np.errstate(all="ignore"):  # a refused point raises its scalar error below
-        continuous = n0 * _libm(pow, M, a)
+        continuous = n0 * np.float_power(M, a)
         ok = np.isfinite(continuous)  # False wherever the scalar path may refuse
-        local = f * (s0 * _libm(pow, M, 1.0 - a))
+        local = f * (s0 * np.float_power(M, 1.0 - a))
         needed = bcrit * M
         if recruits:
             deficit = needed - local
@@ -423,8 +423,7 @@ def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
             if composition == "parallel":
                 # k + 1 as min(peers + 1, rounded): one rounding, as the
                 # scalar path's exact integer k + 1 gets, also beyond 2**53
-                units = _libm(math.log2, np.where(deficit <= 0.0, 1.0,
-                                                  np.minimum(peers + 1.0, rounded)))
+                units = _log2(np.where(deficit <= 0.0, 1.0, np.minimum(peers + 1.0, rounded)))
             recruited = local + k * local
             pool = np.where(recruited < needed, recruited, needed)
         else:
@@ -438,7 +437,7 @@ def _grid_terms(M, a, n0, s0, f, bcrit, antibody, doubling_time, recruits,
                 f, bcrit, antibody, doubling_time, recruitment_composition=composition,
                 contact_latency=0.0 if recruits else RECRUITMENT_DISABLED), "contention")
         # a target already met, also one whose ratio underflows to 0, takes no time
-        t_expand = doubling_time * _libm(math.log2, np.maximum(target / pool, 1.0))
+        t_expand = doubling_time * _log2(np.maximum(target / pool, 1.0))
         t_expand = np.where(t_expand > 0.0, t_expand, 0.0)
     for x in (a, continuous, units, t_expand):
         x.flags.writeable = False
@@ -469,7 +468,7 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
         _grid_terms(M, a, *fields)
     with np.errstate(all="ignore"):
         if mode == "spatial":
-            extent = _libm(pow, M / continuous, 1.0 / arch.dimension)
+            extent = np.float_power(M / continuous, 1.0 / arch.dimension)
             t_detect = mean_center_distance(arch.dimension) * extent / params.detector_speed
         else:
             t_detect = params.contention_coefficient * M / continuous

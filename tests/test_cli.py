@@ -289,8 +289,15 @@ def test_write_csv_nine_significant_digits(tmp_path):
 
 
 def test_unwritable_output_exit_code_1(tmp_path, capsys):
-    cfg = run(tmp_path, "output = /nonexistent-dir/x.csv\nmasses = 1\nexponents = 0\n")
-    assert dispatch(["sweep", "--config", cfg]) == 1
+    # a failed write prints one error line and nothing on stdout, no verdict either
+    csv = tmp_path / "missing" / "x.csv"
+    cfg = run(tmp_path, f"output = {csv}\nmasses = 1\nexponents = 0\ntrials = 1\n")
+    for command in (["sweep"], ["simulate"], ["scenario", "--profile", "all"],
+                    ["scenario", "--profile", "limited-limited"]):
+        assert dispatch([*command, "--config", cfg]) == 1, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
 def test_simulate_rejects_infinite_mass_in_config(tmp_path, capsys):

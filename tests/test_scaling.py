@@ -782,6 +782,26 @@ def test_analytic_results_do_not_depend_on_the_cpu():
     assert len(hashes[0]) == 65 and hashes[0] == hashes[1]
 
 
+def test_float_power_is_libm_pow():
+    # the grid kernel's pow: np.float_power's float64 loop calls libm's pow per
+    # element, as Python's pow does. np.power fails this: it takes the square
+    # root for the exponent 0.5 on every host, and its AVX-512 loop differs
+    # in the last bit elsewhere
+    def same_bits(array, floats):
+        return np.array_equal(array.view(np.int64), np.array(floats).view(np.int64))
+
+    a, n0 = exponent_grid(1e-4), ArchitectureSpec().base_hub_count
+    for M in (5e-324, 1e-300, 1e-2, 0.5, 1 - 1e-12, 1 + 1e-12, 2.0, 13.0, 123.456, 25000.0,
+              1e10, 1e300):
+        for exponents in (a, 1.0 - a):
+            assert same_bits(np.float_power(M, exponents),
+                             [pow(M, e) for e in exponents.tolist()]), M
+        base = M / (n0 * np.float_power(M, a))  # the spatial extent's operand
+        for d in (1, 2, 3):
+            assert same_bits(np.float_power(base, 1.0 / d),
+                             [pow(b, 1.0 / d) for b in base.tolist()]), (M, d)
+
+
 def test_optimizer_and_sweep_agree_on_cold_and_warm_memo():
     p = ModelParams(recruitment_composition="parallel")
     masses, exponents = [3.0, 100.0, 2.5e4], [0.0, 0.25, 1 / 3, 0.5, 1.0]
