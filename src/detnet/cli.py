@@ -154,7 +154,11 @@ def _cmd_simulate(args) -> int:
 
     write_csv(rows, cfg.output)
     events_path = str(cfg.output) + ".events"
-    Path(events_path).write_text("".join(events), encoding="utf-8", newline="")
+    try:
+        Path(events_path).write_text("".join(events), encoding="utf-8", newline="")
+    except OSError:  # leave no CSV beside a missing or stale .events
+        Path(cfg.output).unlink()
+        raise
     print(f"wrote {len(rows)} rows to {cfg.output} and {n_events} events to {events_path}")
     return 0
 
@@ -191,25 +195,19 @@ _COMMANDS = {
 def dispatch(argv) -> int:
     """Parse argv and run one subcommand; returns the process exit status."""
     parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -478,7 +478,7 @@ def _grid_pass(M, arch, params, mode, a=None, resolution=None):
 
 def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
                      grid_resolution: float = 0.01,
-                     arch: ArchitectureSpec | None = None,
+                     arch: ArchitectureSpec = ArchitectureSpec(),
                      ) -> tuple[float, TimingBreakdown]:
     """Grid search for the exponent minimizing total response time at mass M.
 
@@ -488,8 +488,6 @@ def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
     ignored). Grids of at most `_MEMO_BUDGET` points read their terms from
     `_cached_terms`, whose hits are bit-identical to a fresh pass.
     """
-    if arch is None:
-        arch = ArchitectureSpec()
     grid, t_detect, t_recruit, t_expand, t_total = _grid_pass(
         M, arch, params, mode, resolution=grid_resolution)
     best = int(np.argmin(t_total))
@@ -498,7 +496,7 @@ def optimal_exponent(M: float, params: ModelParams, mode: str = "spatial",
 
 
 def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
-          arch: ArchitectureSpec | None = None,
+          arch: ArchitectureSpec = ArchitectureSpec(),
           ) -> list[tuple[float, float, TimingBreakdown]]:
     """Evaluate total response time over the (M, a) product grid.
 
@@ -508,8 +506,6 @@ def sweep(M_list, a_list, params: ModelParams, mode: str = "spatial",
     """
     if len(M_list) == 0 or len(a_list) == 0:  # lists or arrays
         raise ValueError("M_list and a_list must be non-empty")
-    if arch is None:
-        arch = ArchitectureSpec()
     grid = np.array(a_list, dtype=float)
     out_of_range = np.flatnonzero(~((grid >= 0.0) & (grid <= 1.0)))
     if out_of_range.size:

@@ -133,7 +133,7 @@ def _overall(winners: list[str]) -> str:
 
 def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
                       model3_exponent: float | None = None,
-                      arch: ArchitectureSpec | None = None,
+                      arch: ArchitectureSpec = ArchitectureSpec(),
                       grid_resolution: float = 0.01,
                       mode: str = "contention") -> ScenarioVerdict:
     """Rank the three architectures under one bandwidth regime.
@@ -145,8 +145,6 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
     """
     if len(M_list) == 0:  # lists or arrays
         raise ValueError("M_list must be non-empty")
-    if arch is None:
-        arch = ArchitectureSpec()
     effective = profile.effective_params(params, mode)
     # with_exponent raises the spec's range error for a pinned exponent
     grid = None if model3_exponent is None else \
@@ -166,7 +164,7 @@ def evaluate_scenario(profile: ScenarioProfile, M_list, params: ModelParams,
 
 
 def scenario_table(params: ModelParams, M_list,
-                   arch: ArchitectureSpec | None = None,
+                   arch: ArchitectureSpec = ArchitectureSpec(),
                    grid_resolution: float = 0.01,
                    model3_exponent: float | None = None,
                    mode: str = "contention") -> list[tuple[str, str]]:

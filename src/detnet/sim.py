@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +103,28 @@ class _Layout(NamedTuple):
     stride: np.ndarray  # n // s_k: one cell along axis k in units of extent / n
     widths: np.ndarray  # region width along each axis
 
+    def region_of(self, point: np.ndarray) -> int:
+        """Flat region index containing `point`; points on a shared boundary
+        resolve to the lowest index."""
+        flat = 0
+        for axis, cells in enumerate(self.grid_shape):
+            x = point[axis]
+            if not 0.0 <= x <= self.extent:
+                raise SimulationInvariantError(f"point {point} lies outside the domain "
+                                               f"[0, {self.extent}]^d")
+            idx = min(max(math.ceil(x / self.widths[axis]) - 1, 0), cells - 1)
+            flat = flat * cells + idx
+        return flat
+
+    def nearest_peers(self, hub: int) -> np.ndarray:
+        """Every other hub, nearest center first, equal distances in index order.
+        The key is the squared center distance in units of (extent / n)^2: whole-cell
+        offsets times n // s_k are integers, so equal distances get equal keys, which
+        the stable sort keeps in index order; a key is < 3 n^2 <= 1.2e13, exact in
+        int64, and `hub`'s own key is the only zero."""
+        scaled = (self.cells - self.cells[hub]) * self.stride
+        return np.argsort((scaled * scaled).sum(axis=1), kind="stable")[1:]
+
 
 @dataclass
 class SimWorld:
@@ -123,10 +144,6 @@ class SimWorld:
     # event columns (time, kind, subject, hub); an event's index is its sequence number
     _events: tuple[list, ...] = field(default_factory=lambda: ([], [], [], []))
 
-    extent = property(attrgetter("layout.extent"))
-    grid_shape = property(attrgetter("layout.grid_shape"))
-    centers = property(attrgetter("layout.centers"))
-
     def schedule(self, times: list, kind: str, subjects, hubs) -> None:
         """Append one event per entry of `times`, `subjects` and `hubs`, in order."""
         for column, values in zip(self._events, (times, [kind] * len(times), subjects, hubs)):
@@ -142,21 +159,6 @@ class SimWorld:
         log = EventLog()
         log._columns = columns
         return log
-
-    def region_of(self, point: np.ndarray) -> int:
-        """Flat region index containing `point`; points on a shared boundary
-        resolve to the lowest index."""
-        layout = self.layout
-        flat = 0
-        for axis, cells in enumerate(layout.grid_shape):
-            x = point[axis]
-            if not 0.0 <= x <= layout.extent:
-                raise SimulationInvariantError(
-                    f"point {point} lies outside the domain [0, {layout.extent}]^d"
-                )
-            idx = min(max(math.ceil(x / layout.widths[axis]) - 1, 0), cells - 1)
-            flat = flat * cells + idx
-        return flat
 
 
 def _divisors(n: int) -> list[int]:
@@ -234,15 +236,15 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     _start(world, "spawn_infection")
     if not 1 <= n_detectors <= MAX_HUBS:
         raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
+    extent = world.layout.extent
     if site is None:
-        site = world.rng.random(world.arch.dimension) * world.extent
+        site = world.rng.random(world.arch.dimension) * extent
     site = np.array(site, dtype=float)  # the world's own copy
     if site.shape != (world.arch.dimension,):
         raise ValueError(f"site must have {world.arch.dimension} coordinates, got {site.shape}")
-    extent = world.extent
     if not all(0.0 <= x <= extent for x in site.tolist()):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {extent}]^d")
-    world.site, world.site_hub, world.detectors = site, world.region_of(site), n_detectors
+    world.site, world.site_hub, world.detectors = site, world.layout.region_of(site), n_detectors
     world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors),
                    [world.site_hub] * n_detectors)
     world.completed = "spawn_infection"
@@ -274,7 +276,7 @@ def _walk_arrival_steps(world: SimWorld, start: np.ndarray, hub_pos: np.ndarray,
     """Steps until a fixed-length random walk from beyond the absorption radius (one
     step length) around the hub enters it, reflecting off the domain walls. Steps are
     drawn in blocks; each block's free path is summed, folded and tested in place."""
-    rng, d, extent = world.rng, world.arch.dimension, world.extent
+    rng, d, extent = world.rng, world.arch.dimension, world.layout.extent
     free = start.copy()  # free (unfolded) position, kept within [0, 2 * extent)
     taken, block = 0, _WALK_BLOCK
     while taken < _WALK_MAX_STEPS - 1:
@@ -315,7 +317,8 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
         raise ValueError(f"step_length must be finite and > 0, got {step_length}")
 
     start_time = world.clock
-    v, k, hub_pos = world.params.detector_speed, world.detectors, world.centers[world.site_hub]
+    v, k = world.params.detector_speed, world.detectors
+    hub_pos = world.layout.centers[world.site_hub]
     distance = float(_norms(world.site - hub_pos))
     if movement == "straight":
         arrivals = [start_time + distance / v] * k
@@ -350,14 +353,7 @@ def _recruit(world: SimWorld) -> float:
     if k == 0:
         return 0.0
 
-    # squared center distances in units of (extent / n)^2: whole-cell offsets
-    # times n // s_k are integers, so peers at equal distance get equal keys
-    # and the stable sort orders them by index; a key is < 3 n^2 <= 1.2e13,
-    # exact in int64, and the infected hub's own key is the only zero
-    cells = world.layout.cells
-    scaled = (cells - cells[world.site_hub]) * world.layout.stride
-    order = np.argsort((scaled * scaled).sum(axis=1), kind="stable")
-    peers = order[1:k + 1]
+    peers = world.layout.nearest_peers(world.site_hub)[:k]
     rank = np.arange(1, len(peers) + 1)
     if params.recruitment_composition == "parallel":
         # doubling-tree wave of the rank-th contact: ceil(log2(rank + 1)),

@@ -298,6 +298,13 @@ def test_unwritable_output_exit_code_1(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+    # an unwritable .events removes the CSV written beside it
+    (tmp_path / "out.csv.events").mkdir()
+    cfg = run(tmp_path, f"output = {tmp_path / 'out.csv'}\nmasses = 1\ntrials = 1\n")
+    assert dispatch(["simulate", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_simulate_rejects_infinite_mass_in_config(tmp_path, capsys):

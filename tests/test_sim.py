@@ -63,16 +63,16 @@ def region_volumes(world):
 
 def test_single_region_world():
     world = build_world(1.0, arch(n0=1.0), ModelParams(), seed=1)
-    assert len(world.centers) == 1
-    assert np.allclose(world.centers[0], [0.5, 0.5])
+    assert len(world.layout.centers) == 1
+    assert np.allclose(world.layout.centers[0], [0.5, 0.5])
     lower, upper = region_boxes(world)
     assert np.allclose(lower[0], [0.0, 0.0]) and np.allclose(upper[0], [1.0, 1.0])
 
 
 def test_world_matches_rounded_scaling_counts():
     world = build_world(4.0, arch(a=1.0, n0=2.0), ModelParams(), seed=1)
-    assert len(world.centers) == 8
-    domain_volume = world.extent ** 2
+    assert len(world.layout.centers) == 8
+    domain_volume = world.layout.extent ** 2
     for volume in region_volumes(world):
         assert volume == pytest.approx(domain_volume / 8.0, rel=1e-9)
     assert domain_volume == pytest.approx(4.0, rel=1e-12)
@@ -83,32 +83,32 @@ def test_world_matches_rounded_scaling_counts():
 def test_regions_tile_domain(M, a, d):
     world = build_world(M, arch(a=a, d=d), ModelParams(), seed=3)
     _, rounded = hub_count(M, arch(a=a, d=d))
-    assert len(world.centers) == rounded
-    volume = world.extent ** d
+    assert len(world.layout.centers) == rounded
+    volume = world.layout.extent ** d
     total = sum(region_volumes(world))
     assert total == pytest.approx(volume, rel=1e-9)
     boxes = region_boxes(world)
-    for i, (center, lower, upper) in enumerate(zip(world.centers, *boxes)):
+    for i, (center, lower, upper) in enumerate(zip(world.layout.centers, *boxes)):
         assert float(np.prod(upper - lower)) == pytest.approx(volume / rounded, rel=1e-9)
         assert np.all(lower < center) and np.all(center < upper)
-        assert world.region_of(center) == i
+        assert world.layout.region_of(center) == i
     # random points land in the region that contains them
     rng = np.random.default_rng(5)
     for _ in range(200):
-        point = rng.random(d) * world.extent
-        i = world.region_of(point)
+        point = rng.random(d) * world.layout.extent
+        i = world.layout.region_of(point)
         assert np.all(point >= boxes[0][i] - 1e-12) and np.all(point <= boxes[1][i] + 1e-12)
 
 
 def test_boundary_points_resolve_to_lowest_region_index():
     world = build_world(4.0, arch(a=1.0, n0=1.0), ModelParams(), seed=1)  # 2x2 grid
-    mid = world.extent / 2.0
-    assert world.region_of(np.array([mid, 0.1])) == 0  # x boundary: lower column
-    assert world.region_of(np.array([0.1, mid])) == 0  # y boundary: lower row
-    assert world.region_of(np.array([mid, mid])) == 0
-    assert world.region_of(np.array([0.0, 0.0])) == 0
-    corner = np.array([world.extent, world.extent])
-    assert world.region_of(corner) == len(world.centers) - 1
+    mid = world.layout.extent / 2.0
+    assert world.layout.region_of(np.array([mid, 0.1])) == 0  # x boundary: lower column
+    assert world.layout.region_of(np.array([0.1, mid])) == 0  # y boundary: lower row
+    assert world.layout.region_of(np.array([mid, mid])) == 0
+    assert world.layout.region_of(np.array([0.0, 0.0])) == 0
+    corner = np.array([world.layout.extent, world.layout.extent])
+    assert world.layout.region_of(corner) == len(world.layout.centers) - 1
 
 
 def test_oversized_world_refused():
@@ -147,7 +147,7 @@ def test_oversized_world_refusal_prices_the_arrays_a_world_keeps(d):
 def test_region_of_rejects_outside_points():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
     with pytest.raises(SimulationInvariantError):
-        world.region_of(np.array([2.0, 0.5]))
+        world.layout.region_of(np.array([2.0, 0.5]))
 
 
 def test_world_geometry_is_read_only():
@@ -157,10 +157,10 @@ def test_world_geometry_is_read_only():
     for array in (x for x in world.layout if isinstance(x, np.ndarray)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
-    for name in ("extent", "grid_shape", "centers"):
+    for name in world.layout._fields:  # a NamedTuple: no field can be rebound
         with pytest.raises(AttributeError):
-            setattr(world, name, np.zeros((4, 2)))
-    assert world.centers.tolist() == [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]]
+            setattr(world.layout, name, np.zeros((4, 2)))
+    assert world.layout.centers.tolist() == [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]]
 
 
 def test_world_fields_are_pinned():
@@ -184,7 +184,7 @@ def test_worlds_of_one_layout_share_no_mutable_state():
     spawn_infection(second, n_detectors=2)
     assert not np.shares_memory(first.site, second.site)
     # a site given as an array is copied, not kept as the caller's (or the layout's) view
-    site = second.centers[0]
+    site = second.layout.centers[0]
     third = spawn_infection(build_world(16.0, arch(), ModelParams(), seed=3), site=site)
     assert not np.shares_memory(third.site, site) and third.site.tolist() == site.tolist()
 
@@ -202,9 +202,10 @@ def test_layout_memo_keys_on_everything_the_tiling_reads(spec, params):
     world = build_world(M, spec, params, seed=1)  # right after base: a memo hit if keyed wrongly
     rounded = hub_count(M, spec)[1]
     assert world.layout is not base.layout
-    assert world.extent == M ** (1.0 / spec.dimension)
-    assert len(world.grid_shape) == spec.dimension and math.prod(world.grid_shape) == rounded
-    for array in (world.centers, world.layout.cells):
+    assert world.layout.extent == M ** (1.0 / spec.dimension)
+    shape = world.layout.grid_shape
+    assert len(shape) == spec.dimension and math.prod(shape) == rounded
+    for array in (world.layout.centers, world.layout.cells):
         assert array.shape == (rounded, spec.dimension)
 
 
@@ -226,7 +227,7 @@ def test_refusals_run_on_every_call_and_are_never_cached():
 
 def test_spawn_at_hub_center_detects_instantly():
     world = build_world(1.0, arch(), ModelParams(), seed=1)
-    spawn_infection(world, site=world.centers[0], n_detectors=1)
+    spawn_infection(world, site=world.layout.centers[0], n_detectors=1)
     t_detect, log = run_detection(world)
     assert t_detect == 0.0
     assert [r.kind for r in log] == ["arrival"]
@@ -397,7 +398,7 @@ def test_batched_walk_matches_per_step_reference(d, step):
     spec, p, trials = arch(a=1.0, d=d), ModelParams(), 300
     world = build_world(8.0, spec, p, seed=0)
     if d == 2:
-        assert world.grid_shape == (4, 2)
+        assert world.layout.grid_shape == (4, 2)
     batched = []
     for seed in range(trials):
         bd, _ = simulate(8.0, spec, p, seed=seed, movement="random_walk", step_length=step)
@@ -405,9 +406,9 @@ def test_batched_walk_matches_per_step_reference(d, step):
     rng = np.random.default_rng(2010)
     reference = []
     for _ in range(trials):
-        start = rng.random(d) * world.extent
-        hub = world.centers[world.region_of(start)]
-        reference.append(reference_walk_steps(rng, start, hub, step, world.extent))
+        start = rng.random(d) * world.layout.extent
+        hub = world.layout.centers[world.layout.region_of(start)]
+        reference.append(reference_walk_steps(rng, start, hub, step, world.layout.extent))
     stderr = math.sqrt((np.var(batched, ddof=1) + np.var(reference, ddof=1)) / trials)
     assert abs(np.mean(batched) - np.mean(reference)) < 4.0 * stderr
 
@@ -492,7 +493,7 @@ def test_one_dimensional_straight_detection_neither_underflows_nor_overflows(M):
             world = build_world(M, arch(a=0.0, d=1), p, seed=seed)
             spawn_infection(world)
             t, _ = run_detection(world)
-        assert t == abs(float(world.site[0]) - float(world.centers[0, 0])) / 2.0
+        assert t == abs(float(world.site[0]) - float(world.layout.centers[0, 0])) / 2.0
         assert 0.0 < t < math.inf
 
 
@@ -583,7 +584,7 @@ def test_spawn_keeps_one_site_its_hub_and_the_detector_count():
     assert (world.site, world.site_hub, world.detectors) == (None, None, 0)
     spawn_infection(world, site=[0.5, 3.5], n_detectors=3)
     assert world.site.shape == (2,) and world.site.tolist() == [0.5, 3.5]
-    assert world.site_hub == world.region_of(np.array([0.5, 3.5])) and world.detectors == 3
+    assert world.site_hub == world.layout.region_of(np.array([0.5, 3.5])) and world.detectors == 3
 
 
 @pytest.mark.parametrize("site", [[0.5, 3.5], [2.25, 1.0], None])
@@ -591,7 +592,7 @@ def test_straight_detectors_all_arrive_after_the_sites_distance_over_speed(site)
     world = build_world(16.0, arch(), ModelParams(detector_speed=3.0), seed=4)
     spawn_infection(world, site=site, n_detectors=3)
     start, hub = world.clock, world.site_hub
-    expected = start + float(np.linalg.norm(world.site - world.centers[hub])) / 3.0
+    expected = start + float(np.linalg.norm(world.site - world.layout.centers[hub])) / 3.0
     t_detect, _ = run_detection(world)
     records = list(world.drain(0))
     assert [r.kind for r in records] == ["spawn"] * 3 + ["arrival"] * 3
@@ -647,13 +648,13 @@ def test_recruitment_contacts_by_distance_then_index():
     for M, a in [(256.0, 0.5), (500.0, 0.741)]:
         world = _run_through_recruitment(M, a)
         _, log = run_recruitment(world)
-        origin = world.centers[world.site_hub]
+        origin = world.layout.centers[world.site_hub]
         keys = []
         for r in log:
             if r.kind == "contact-complete":
-                peer = world.centers[r.subject]
+                peer = world.layout.centers[r.subject]
                 keys.append((round(float(np.linalg.norm(peer - origin)), 9), r.subject))
-        assert len(keys) == len(world.centers) - 1
+        assert len(keys) == len(world.layout.centers) - 1
         assert keys == sorted(keys)
 
 
@@ -670,23 +671,29 @@ def test_recruitment_contacts_by_distance_then_index():
     (500.0, 0.741, 2, (10, 10), 7),
 ], ids=["128.0", "2048.0", "128.0-16x8", "512.0-8x8x8", "1000.0-40x25", "500.0-10x10"])
 def test_equidistant_peers_contacted_in_index_order(M, a, d, shape, stride):
-    spec, p = arch(a=a, d=d), ModelParams()
-    assert build_world(M, spec, p, seed=0).grid_shape == shape
+    assert build_world(M, arch(a=a, d=d), ModelParams(), seed=0).layout.grid_shape == shape
     cells = list(np.ndindex(*shape))
     exact = {}  # squared distance in units of the extent, by whole-cell offset
-    for infected in range(0, len(cells), stride):
-        world = build_world(M, spec, p, seed=0)
-        spawn_infection(world, site=world.centers[infected])
-        run_detection(world)
-        _, log = run_recruitment(world)
-        keys = []
-        for r in log:
-            offset = tuple(x - y for x, y in zip(cells[r.subject], cells[infected]))
-            if offset not in exact:
-                exact[offset] = sum(Fraction(o, n) ** 2 for o, n in zip(offset, shape))
-            keys.append((exact[offset], r.subject))
-        assert len(keys) == _recruitment(M, spec, p)[0] == len(cells) - 1
-        assert keys == sorted(keys)
+
+    def key(peer, infected):
+        offset = tuple(x - y for x, y in zip(cells[peer], cells[infected]))
+        if offset not in exact:
+            exact[offset] = sum(Fraction(o, n) ** 2 for o, n in zip(offset, shape))
+        return exact[offset], peer
+
+    # the default f contacts every peer; at f = 1e-5, f * s0 >> bcrit and k < n - 1,
+    # so the contacts must be the k nearest peers, not any k in sorted order
+    for f in (ModelParams().cognate_frequency, 1e-5):
+        spec, p = arch(a=a, d=d), ModelParams(cognate_frequency=f)
+        k = _recruitment(M, spec, p)[0]
+        assert (k == len(cells) - 1) == (f == ModelParams().cognate_frequency), (f, k)
+        for infected in range(0, len(cells), stride):
+            world = build_world(M, spec, p, seed=0)
+            spawn_infection(world, site=world.layout.centers[infected])
+            run_detection(world)
+            _, log = run_recruitment(world)
+            nearest = sorted(key(j, infected) for j in range(len(cells)) if j != infected)
+            assert [key(r.subject, infected) for r in log] == nearest[:k]
 
 
 def test_recruitment_constant_across_mass_at_zero_exponent():
