@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain, groupby, repeat
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -67,28 +69,49 @@ class EventRecord(NamedTuple):
 
 
 class EventLog:
-    """Events in time order, ties in scheduling order, held as four columns
-    (time, kind, subject, hub); records are built only on iteration."""
+    """Events as columns (time, subject) plus maximal runs (kind, hub, count) of one kind
+    and hub, records built only on iteration; a world's log is in scheduling order, a
+    drained one in (time, seq) order."""
 
     def __init__(self, records=()):
-        self._columns = [list(c) for c in zip(*records)] or [[], [], [], []]  # order kept
+        self._times, self._subjects, self._runs = [], [], []
+        for time, kind, subject, hub in records:
+            self._append((time,), kind, (subject,), hub)
+
+    def _append(self, times, kind: str, subjects, hub: int) -> None:
+        self._times.extend(times)
+        self._subjects.extend(subjects)
+        runs, n = self._runs, len(times)
+        if runs and runs[-1][:2] == (kind, hub):  # runs stay maximal
+            n += runs.pop()[2]
+        if n:
+            runs.append((kind, hub, n))
 
     def __len__(self):
-        return len(self._columns[0])
+        return len(self._times)
 
     def __iter__(self):
-        return map(EventRecord, *self._columns)
+        kinds = chain.from_iterable(repeat(kind, n) for kind, _, n in self._runs)
+        hubs = chain.from_iterable(repeat(hub, n) for _, hub, n in self._runs)
+        return map(EventRecord, self._times, kinds, self._subjects, hubs)
 
-    def __eq__(self, other):
-        return isinstance(other, EventLog) and self._columns == other._columns
+    def __eq__(self, other):  # equal (times, subjects, runs): maximal runs make it equal records
+        return isinstance(other, EventLog) and vars(self) == vars(other)
 
     def to_text(self) -> str:
-        """Serialize as one `time<TAB>kind<TAB>subject<TAB>hub` line per event."""
-        n = len(self)
-        fields = [None] * (4 * n)  # time, kind, subject and hub, event by event
-        for i, column in enumerate(self._columns):
-            fields[i::4] = column
-        return (_EVENT_LINE + "\n") * n % tuple(fields)
+        """Serialize as one `time<TAB>kind<TAB>subject<TAB>hub` line per event: each
+        run's lines share one format, and one `%` fills every (time, subject)."""
+        fields = [None] * (2 * len(self))
+        fields[::2], fields[1::2] = self._times, self._subjects
+        return "".join([_run_line(kind, hub) * n for kind, hub, n in self._runs]) % tuple(fields)
+
+
+@lru_cache(maxsize=1024)  # a world has about four runs, and its trials repeat them
+def _run_line(kind: str, hub: int) -> str:
+    """`_EVENT_LINE` with `kind` and `hub` written in: a format of (time, subject)."""
+    time, kind_field, subject, hub_field = _EVENT_LINE.split("\t")
+    kind = (kind_field % kind).replace("%", "%%")  # %d writes no % for the hub
+    return f"{time}\t{kind}\t{subject}\t{hub_field % hub}\n"
 
 
 class _Layout(NamedTuple):
@@ -141,23 +164,33 @@ class SimWorld:
     rng: np.random.Generator = None  # type: ignore[assignment]
     completed: str = "build_world"  # the last of _PHASES this world has run
     pool: float | None = None
-    # event columns (time, kind, subject, hub); an event's index is its sequence number
-    _events: tuple[list, ...] = field(default_factory=lambda: ([], [], [], []))
+    # every event in scheduling order: an event's index is its sequence number
+    _events: EventLog = field(default_factory=EventLog)
 
-    def schedule(self, times: list, kind: str, subjects, hubs) -> None:
-        """Append one event per entry of `times`, `subjects` and `hubs`, in order."""
-        for column, values in zip(self._events, (times, [kind] * len(times), subjects, hubs)):
-            column.extend(values)
+    def schedule(self, times: list, kind: str, subjects, hub: int) -> None:
+        """Append one `kind` event at `hub` per entry of `times` and `subjects`, in order."""
+        self._events._append(times, kind, subjects, hub)
 
     def drain(self, since_seq: int = 0) -> EventLog:
         """Events scheduled at or after `since_seq`, ordered by (time, seq)."""
-        columns = [column[since_seq:] for column in self._events]
-        times = columns[0]
-        if times != sorted(times):  # else the stable sort below is the identity
-            order = sorted(range(len(times)), key=times.__getitem__)  # ties keep seq order
-            columns = [[column[i] for i in order] for column in columns]
-        log = EventLog()
-        log._columns = columns
+        events, log = self._events, EventLog()
+        if not 0 <= since_seq <= len(events._times):
+            raise ValueError(f"since_seq must be in [0, {len(events)}], got {since_seq}")
+        runs, skip = events._runs[:], since_seq
+        while skip:  # drop the runs before since_seq, trim the one it falls in
+            kind, hub, n = runs[0]
+            runs[:1] = [(kind, hub, n - skip)] if skip < n else []
+            skip = max(skip - n, 0)
+        times, subjects = events._times[since_seq:], events._subjects[since_seq:]
+        if times != (ordered := sorted(times)):  # else the stable sort below is the identity
+            order = sorted(range(len(times)), key=times.__getitem__)  # ordered's stable order
+            keys = []  # each event's (kind, hub)
+            for kind, hub, n in runs:
+                keys += [(kind, hub)] * n
+            runs = [(kind, hub, len(list(run)))
+                    for (kind, hub), run in groupby(map(keys.__getitem__, order))]
+            times, subjects = ordered, [subjects[i] for i in order]
+        log._times, log._subjects, log._runs = times, subjects, runs
         return log
 
 
@@ -234,8 +267,11 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     domain when None); all report to the hub whose region contains the site.
     A world is infected once, with at most MAX_HUBS detectors."""
     _start(world, "spawn_infection")
-    if not 1 <= n_detectors <= MAX_HUBS:
-        raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
+    try:  # an int or a numpy integer, checked before the world changes
+        if not 1 <= index(n_detectors) <= MAX_HUBS:
+            raise ValueError(f"n_detectors must be in [1, {MAX_HUBS}], got {n_detectors}")
+    except TypeError:
+        raise ValueError(f"n_detectors must be an integer, got {n_detectors!r}") from None
     extent = world.layout.extent
     if site is None:
         site = world.rng.random(world.arch.dimension) * extent
@@ -245,8 +281,7 @@ def spawn_infection(world: SimWorld, site=None, n_detectors: int = 1) -> SimWorl
     if not all(0.0 <= x <= extent for x in site.tolist()):  # NaN fails too
         raise ValueError(f"site {site} outside the domain [0, {extent}]^d")
     world.site, world.site_hub, world.detectors = site, world.layout.region_of(site), n_detectors
-    world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors),
-                   [world.site_hub] * n_detectors)
+    world.schedule([world.clock] * n_detectors, "spawn", range(n_detectors), world.site_hub)
     world.completed = "spawn_infection"
     return world
 
@@ -327,7 +362,7 @@ def _detect(world: SimWorld, movement: str, step_length: float) -> float:
     else:  # one walk per detector, each drawing from the RNG in turn
         arrivals = [start_time + _walk_arrival_steps(world, world.site, hub_pos, step_length)
                     * step_length / v for _ in range(k)]
-    world.schedule(arrivals, "arrival", range(k), [world.site_hub] * k)
+    world.schedule(arrivals, "arrival", range(k), world.site_hub)
     world.completed = "run_detection"
     world.clock = min(arrivals)
     return world.clock - start_time
@@ -339,7 +374,7 @@ def run_detection(world: SimWorld, movement: str = "straight",
     completes at the first arrival. Straight mode travels the exact distance
     at detector speed; random-walk mode takes fixed-length steps in uniform
     directions."""
-    start_seq = len(world._events[0])
+    start_seq = len(world._events)
     return _detect(world, movement, step_length), world.drain(start_seq)
 
 
@@ -362,7 +397,7 @@ def _recruit(world: SimWorld) -> float:
     else:
         offset = params.contact_latency * rank
     world.schedule((start_time + offset).tolist(), "contact-complete", peers.tolist(),
-                   [world.site_hub] * len(peers))
+                   world.site_hub)
     # durations are accumulated relative to the phase start, never as a
     # difference of absolute clocks, so they match the analytic values
     # bit for bit
@@ -376,7 +411,7 @@ def run_recruitment(world: SimWorld) -> tuple[float, EventLog]:
     """Contact peer hubs in order of increasing center distance (ties by
     index) until the critical responder demand is covered; the empirical
     contact count is the shared analytic demand formula."""
-    start_seq = len(world._events[0])
+    start_seq = len(world._events)
     return _recruit(world), world.drain(start_seq)
 
 
@@ -395,7 +430,7 @@ def _expand(world: SimWorld) -> float:
         if ticks > 10_000:
             raise SimulationInvariantError("expansion did not reach the target in 10000 ticks")
     world.schedule([start_time + tick * params.doubling_time for tick in range(1, ticks + 1)],
-                   "doubling-tick", range(1, ticks + 1), [world.site_hub] * ticks)
+                   "doubling-tick", range(1, ticks + 1), world.site_hub)
     world.completed = "run_expansion"
     duration = ticks * params.doubling_time
     world.clock = start_time + duration
@@ -405,7 +440,7 @@ def _expand(world: SimWorld) -> float:
 def run_expansion(world: SimWorld) -> tuple[float, EventLog]:
     """Double the activated pool once per doubling period until its output
     meets the target; the tick count is the ceiling of the analytic time."""
-    start_seq = len(world._events[0])
+    start_seq = len(world._events)
     return _expand(world), world.drain(start_seq)
 
 

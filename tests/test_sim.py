@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -179,7 +181,9 @@ def test_worlds_of_one_layout_share_no_mutable_state():
     assert (second.site, second.site_hub, second.detectors) == (None, None, 0)
     assert second.completed == "build_world" and second.clock == 0.0
     assert len(second.drain(0)) == 0
-    assert all(a is not b for a, b in zip(first._events, second._events))
+    assert first._events is not second._events  # nor any of their columns or runs
+    assert all(getattr(first._events, name) is not getattr(second._events, name)
+               for name in ("_times", "_subjects", "_runs"))
     assert second.rng is not first.rng
     spawn_infection(second, n_detectors=2)
     assert not np.shares_memory(first.site, second.site)
@@ -579,6 +583,20 @@ def test_spawn_refuses_a_detector_count_out_of_range_before_placing_any(n_detect
     assert len(world.drain(0)) == 3
 
 
+@pytest.mark.parametrize("n_detectors", [2.5, 2.0, "2", None])
+def test_spawn_refuses_a_non_integer_detector_count_before_changing_the_world(n_detectors):
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    state = world.rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^n_detectors must be an integer, got "
+                                         rf"{re.escape(repr(n_detectors))}$"):
+        spawn_infection(world, n_detectors=n_detectors)
+    assert (world.site, world.site_hub, world.detectors) == (None, None, 0)
+    assert world.completed == "build_world" and len(world.drain(0)) == 0
+    assert world.rng.bit_generator.state == state
+    spawn_infection(world, n_detectors=np.int64(2))  # a numpy integer is a count
+    assert world.detectors == 2 and len(world.drain(0)) == 2
+
+
 def test_spawn_keeps_one_site_its_hub_and_the_detector_count():
     world = build_world(16.0, arch(), ModelParams(), seed=1)
     assert (world.site, world.site_hub, world.detectors) == (None, None, 0)
@@ -885,11 +903,64 @@ def test_drain_returns_events_scheduled_since_in_time_order():
     assert [r.kind for r in world.drain(1)] == ["spawn", "arrival", "arrival"]
     assert len(world.drain(4)) == 0
     # a later block with earlier times sorts before it; ties keep scheduling order
-    world.schedule([9.0, 5.0, 7.0], "late", [0, 1, 2], [0, 0, 0])
-    world.schedule([5.0, 9.0], "later", [3, 4], [1, 1])
+    world.schedule([9.0, 5.0, 7.0], "late", [0, 1, 2], 0)
+    world.schedule([5.0, 9.0], "later", [3, 4], 1)
     assert [(r.time, r.subject) for r in world.drain(4)] == [
         (5.0, 1), (5.0, 3), (7.0, 2), (9.0, 0), (9.0, 4)]
     assert [r.kind for r in world.drain(0)][:2] == ["spawn", "spawn"]
+
+
+def test_drain_refuses_a_sequence_number_outside_the_log():
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    spawn_infection(world, n_detectors=2)
+    for since_seq in (-1, -2, 3, 10 ** 20):
+        with pytest.raises(ValueError, match=rf"^since_seq must be in \[0, 2\], got {since_seq}$"):
+            world.drain(since_seq)
+    assert len(world.drain(2)) == 0 and len(world.drain(0)) == 2
+
+
+@st.composite
+def event_records(draw):
+    """Records in runs of one (kind, hub), neighbouring runs often sharing theirs: kinds
+    holding % conversions, hubs past int64 either way, and extreme or signed-zero times."""
+    kinds = st.sampled_from(["spawn", "arrival", "%", "%%", "%d", "%s", "a%%s\t%d%"]) | st.text()
+    hubs = st.sampled_from([0, -1, 7, 2 ** 63, 2 ** 64 + 1, -(2 ** 70)]) | st.integers()
+    times = st.sampled_from([0.0, -0.0, 5e-324, 1e300]) | st.floats(allow_nan=False)
+    events = st.lists(st.tuples(times, st.integers()), min_size=1, max_size=4)
+    runs = draw(st.lists(st.tuples(kinds, hubs, events), max_size=6))
+    return [EventRecord(time, kind, subject, hub)
+            for kind, hub, events in runs for time, subject in events]
+
+
+def _scheduled(records, size):
+    """A fresh world with `records` scheduled in batches of at most `size` events of one
+    (kind, hub), an empty batch after each."""
+    world = build_world(16.0, arch(), ModelParams(), seed=1)
+    for (kind, hub), run in itertools.groupby(records, key=lambda r: (r.kind, r.hub)):
+        run = list(run)
+        for start in range(0, len(run), size):
+            batch = run[start:start + size]
+            world.schedule([r.time for r in batch], kind, [r.subject for r in batch], hub)
+            world.schedule([], "empty", [], -1)
+    return world
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(records=event_records())
+def test_run_templates_write_each_record_as_its_event_line(records):
+    log = EventLog(records)
+    assert log.to_text() == "".join(r.to_line() + "\n" for r in records)
+    assert list(log) == records and len(log) == len(records)
+    # the same records in batches of any size are the same log
+    for size in (1, 2, 3, len(records) + 1):
+        world = _scheduled(records, size)
+        assert world._events == log and list(world._events) == records
+    # drain(k) is the records from k on, stably sorted by time, runs re-encoded
+    for k in range(len(records) + 1):
+        drained = sorted(records[k:], key=lambda r: r.time)
+        assert list(world.drain(k)) == drained
+        assert world.drain(k) == EventLog(drained)
+        assert world.drain(k).to_text() == "".join(r.to_line() + "\n" for r in drained)
 
 
 def test_equal_times_keep_scheduling_order_across_phases():
